@@ -19,7 +19,7 @@ from .lemmas import (Lemma1Violation, Lemma2Solution, PrimeClass,
                      lemma1_scan, lemma2_scan, lemma2_violations,
                      shared_primes)
 from .linexpr import LinExpr, combine
-from .lp import (FrontierRow, LPProblem, LPSolution, SlopeBound,
+from .lp import (FrontierRow, LPSolution, SlopeBound,
                  UnboundedSlopeError, best_constant, frontier, minimize)
 from .model import (Case, Constraint, ConstraintSystem, Relation, Var,
                     build_system, describe_system, render_bound,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Case", "Certificate", "CertificateFormatError", "Constraint",
     "ConstraintSystem", "FrontierRow", "Lemma1Violation", "Lemma2Solution",
-    "LinExpr", "LPProblem", "LPSolution", "PrimeClass", "Rational",
+    "LinExpr", "LPSolution", "PrimeClass", "Rational",
     "Relation", "ScanResult", "SharedPrimes", "SlopeBound",
     "UnboundedSlopeError", "Var", "VerificationReport", "best_constant",
     "bucket_census", "build_system", "certificate_from_dict",

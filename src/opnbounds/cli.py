@@ -16,7 +16,7 @@ import sys
 from .certificates import (CertificateFormatError, certificate_to_dict,
                            load_certificate, save_certificate,
                            verify_certificate)
-from .lemmas import (BUCKETS, RESIDUES, bucket_census, classify_prime,
+from .lemmas import (BUCKETS, CELLS, RESIDUES, bucket_census, classify_prime,
                      lemma1_scan, lemma2_scan, lemma2_violations)
 from .lp import UnboundedSlopeError, best_constant, frontier
 from .model import Case, Var, build_system, describe_system, render_bound
@@ -198,7 +198,6 @@ def cmd_lemmas(args) -> int:
 
 def cmd_census(args) -> int:
     counts = bucket_census(args.max, jobs=args.jobs)
-    cells = [(bucket, residue) for bucket in BUCKETS for residue in RESIDUES]
     if args.format == "json":
         _emit_json({bucket: {str(residue): counts[(bucket, residue)]
                              for residue in RESIDUES}
@@ -206,10 +205,10 @@ def cmd_census(args) -> int:
     elif args.format == "csv":
         writer = _csv_writer()
         writer.writerow(["bucket", "residue", "count"])
-        for bucket, residue in cells:
+        for bucket, residue in CELLS:
             writer.writerow([bucket, residue, counts[(bucket, residue)]])
     else:
-        for bucket, residue in cells:
+        for bucket, residue in CELLS:
             print(f"{bucket} residue {residue}: {counts[(bucket, residue)]}")
     return 0
 
@@ -288,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     front.set_defaults(func=cmd_frontier)
 
     lemmas = commands.add_parser(
-        "lemmas", help="brute-force scan of a supporting lemma")
+        "lemmas", help="check a supporting lemma: 1 by a polynomial sieve "
+                       "over p^2+p+1, 2 by its Pell recurrence")
     lemmas.add_argument("--which", required=True, choices=["1", "2"])
     lemmas.add_argument("--max", required=True, type=_positive_int,
                         help="scan bound (primes for 1, p for 2)")

@@ -36,44 +36,6 @@ def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
     return True
 
 
-def _closed_form_feasible(case: Case, include_f3_min2: bool, point: Mapping) -> bool:
-    """Hand-written evaluation of the same constraints, one comparison per
-    table row; the independent second route for auditing is_feasible."""
-    e, s, t = point[Var.e], point[Var.s], point[Var.t]
-    s1, s2, s3 = point[Var.s1], point[Var.s2], point[Var.s3]
-    s21, s22 = point[Var.s21], point[Var.s22]
-    s31, s32 = point[Var.s31], point[Var.s32]
-    f3, f4 = point[Var.f3], point[Var.f4]
-    big, small = point[Var.Omega], point[Var.omega]
-    if e < 1:
-        return False
-    if s1 + s2 + s3 != s or s21 + s22 != s2 or s31 + s32 != s3:
-        return False
-    if big < e + f3 + 2 * s + f4:
-        return False
-    if s1 + s22 > t + s21 + s31 + 1:
-        return False
-    if s1 > t + s31 + 1:
-        return False
-    if s21 + s31 > f3:
-        return False
-    if s1 + 2 * s22 + 3 * s32 > f4 + e + s21:
-        return False
-    if 4 * t > f4:
-        return False
-    if case is Case.THREE_COPRIME:
-        if small != s + t + 1:
-            return False
-        if f3 or s21 or s31:
-            return False
-    else:
-        if small != s + t + 2:
-            return False
-        if include_f3_min2 and f3 < 2:
-            return False
-    return True
-
-
 @dataclass
 class ScanResult:
     minimum: Fraction | None     # None when the box holds no feasible point
@@ -142,5 +104,6 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     if best is None:
         return ScanResult(None, None)
     witness = {var: value for var, value in zip(_TUPLE_ORDER, best[1])}
-    assert is_feasible(system, witness), "scan produced an infeasible witness"
+    if not is_feasible(system, witness):
+        raise RuntimeError(f"scan produced an infeasible witness: {best[1]}")
     return ScanResult(Fraction(best[0], slope.denominator), witness)

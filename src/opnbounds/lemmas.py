@@ -1,23 +1,32 @@
 """Number-theory side of the bound: classification of primes by the factor
-count of p^2+p+1, shared-divisor bounds for pairs, and the brute-force scans
-that check the supporting lemmas on ranges.
+count of p^2+p+1, shared-divisor bounds for pairs, and the scans that check
+the supporting lemmas on ranges.
 
 Conventions: classification applies to odd primes p > 3; residue means
 p mod 3 (always 1 or 2 for such p); bucket S1/S2/S3plus is the number of
 prime factors of p^2+p+1 counted with multiplicity (one, two, three or
 more).
+
+The range scans factor no single value: the census and lemma 1 share a
+polynomial sieve over n^2+n+1, and lemma 2 follows a Pell recurrence. The
+direct loops they replace are test oracles in tests/nt_bruteforce.py.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .primes import factorize, is_prime, sieve
-from .workers import effective_jobs, run_chunks, stride_chunks
+from .primes import factorize, is_prime, odd_prime_flags, sieve
+from .workers import effective_jobs, run_chunks
 
 BUCKETS = ("S1", "S2", "S3plus")
 RESIDUES = (1, 2)
+CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
+
+# odd n per sieve segment; bounds the arrays one worker holds
+_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,96 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
     return SharedPrimes(min(a, b), max(a, b), common, bound)
 
 
+def _segments(limit: int, jobs: int | None) -> list:
+    """Sieve segments (lo, size, qs, ws) of the odd n = lo + 2j, j < size, in
+    [5, limit]: one per job at least, none longer than _SEGMENT. qs are the
+    primes q = 1 (mod 3) up to limit, ws a root of x^2+x+1 modulo each."""
+    total = (limit - 3) // 2
+    if total <= 0:
+        return []
+    qs, ws = array("L"), array("L")
+    for q in sieve(limit):
+        if q % 3 == 1:
+            a = 2  # w = a^((q-1)/3) has w^3 = 1, so w != 1 makes w^2+w+1 = 0
+            while (w := pow(a, (q - 1) // 3, q)) == 1:
+                a += 1
+            qs.append(q)
+            ws.append(w)
+    parts = max(min(effective_jobs(jobs), total), -(-total // _SEGMENT))
+    edges = [total * k // parts for k in range(parts + 1)]
+    return [(5 + 2 * a, b - a, qs, ws) for a, b in zip(edges, edges[1:])]
+
+
+def _census_chunk(segment, index: dict | None = None) -> list:
+    """Polynomial sieve of n^2+n+1 over the primes n of one segment: their
+    counts per cell in CELLS order. When index is a dict, each n is also
+    appended to index[q] for every prime q dividing n^2+n+1.
+
+    3 divides n^2+n+1 exactly when n = 1 (mod 3), 9 never. Any other prime
+    factor q is 1 (mod 3) and divides it exactly when n = w or q-1-w
+    (mod q), so each q up to the top hi walks those two classes. What is
+    left has only prime factors above hi >= n and is below (n+1)^2: 1 or a
+    prime."""
+    lo, size, qs, ws = segment
+    hi = lo + 2 * size - 2
+    flags = odd_prime_flags(lo, size)
+    counts = bytearray(size)  # prime factors found, with multiplicity
+    rest = array("Q", bytes(8 * size))  # what is left of n^2+n+1
+    live = [j for j, prime in enumerate(flags) if prime]
+    for j in live:
+        n = lo + 2 * j
+        counts[j] = n % 3 == 1
+        rest[j] = (n * n + n + 1) // (3 if counts[j] else 1)
+        if index is not None and counts[j]:
+            index.setdefault(3, []).append(n)
+    for i, q in enumerate(qs):
+        if q > hi:
+            break
+        for root in (ws[i], q - 1 - ws[i]):
+            first = (root - lo) * (q + 1) // 2 % q  # lo + 2j = root (mod q)
+            hits = flags[first::q]
+            k = hits.find(1)
+            while k >= 0:
+                j = first + k * q
+                c, e = rest[j] // q, 1
+                while c % q == 0:
+                    c, e = c // q, e + 1
+                rest[j] = c
+                counts[j] += e
+                if index is not None:
+                    index.setdefault(q, []).append(lo + 2 * j)
+                k = hits.find(1, k + 1)
+    cells = [0] * len(CELLS)
+    for j in live:
+        n = lo + 2 * j
+        cells[2 * min(counts[j] + (rest[j] > 1), 3) + n % 3 - 3] += 1
+        if index is not None and rest[j] > 1:
+            index.setdefault(rest[j], []).append(n)
+    return cells
+
+
+def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
+    """Counts of odd primes 3 < p <= max_prime per (bucket, residue) cell;
+    all six cells are present, empty ones as zero."""
+    parts = run_chunks(_census_chunk, _segments(max_prime, jobs), jobs)
+    return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
+
+
+def _index_chunk(segment) -> dict:
+    index = {}
+    _census_chunk(segment, index)
+    return index
+
+
+def sigma_prime_index(max_prime: int, jobs: int | None = 1) -> dict:
+    """{q: the primes 3 < a <= max_prime with q | a^2+a+1, ascending}."""
+    index = {}
+    for part in run_chunks(_index_chunk, _segments(max_prime, jobs), jobs):
+        for q, members in part.items():
+            index.setdefault(q, []).extend(members)
+    return {q: sorted(members) for q, members in index.items()}
+
+
 @dataclass(frozen=True)
 class Lemma1Violation:
     a: int
@@ -81,24 +180,20 @@ class Lemma1Violation:
     bound: Fraction
 
 
-def _lemma1_chunk(args) -> list:
-    primes, sigmas, indices = args
+def _lemma1_chunk(groups) -> list:
+    """Pair walk over (q, ascending primes a with q | a^2+a+1) groups: q
+    breaks the bound for a same-residue pair a < b exactly when
+    a + b + 1 < k*q (k = 3 for residue 1, 5 for residue 2). The walk stops
+    at the first a with no such b, since a larger a has none either."""
     out = []
-    for i in indices:
-        a = primes[i]
-        sa = sigmas[i]
-        ra = a % 3
-        for j in range(i + 1, len(primes)):
-            if primes[j] % 3 != ra:
-                continue
-            g = gcd(sa, sigmas[j])
-            if g == 1:
-                continue
-            b = primes[j]
-            bound = Fraction(a + b + 1, 5 if ra == 2 else 3)
-            for p in sorted(set(factorize(g))):
-                if p > bound:
-                    out.append(Lemma1Violation(a, b, p, bound))
+    for q, members in groups:
+        for residue, k in ((1, 3), (2, 5)):
+            same = [a for a in members if a % 3 == residue]
+            for i, a in enumerate(same):
+                partners = [b for b in same[i + 1:] if a + b + 1 < k * q]
+                if not partners:
+                    break
+                out += [Lemma1Violation(a, b, q, Fraction(a + b + 1, k)) for b in partners]
     return out
 
 
@@ -106,18 +201,8 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     """Check every same-residue pair of odd primes 3 < a < b <= max_prime:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
     bound. Returns violations sorted by (a, b, p); the expectation is none."""
-    primes = [p for p in sieve(max_prime) if p > 3]
-    sigmas = [p * p + p + 1 for p in primes]
-    index_chunks = stride_chunks(list(range(len(primes))), _parts(jobs, len(primes)))
-    chunks = [(primes, sigmas, idxs) for idxs in index_chunks]
-    results = run_chunks(_lemma1_chunk, chunks, jobs)
-    merged = [v for part in results for v in part]
-    merged.sort(key=lambda v: (v.a, v.b, v.p))
-    return merged
-
-
-def _parts(jobs, size):
-    return max(1, min(effective_jobs(jobs), size)) if size else 1
+    violations = _lemma1_chunk(sigma_prime_index(max_prime, jobs).items())
+    return sorted(violations, key=lambda v: (v.a, v.b, v.p))
 
 
 @dataclass(frozen=True)
@@ -131,55 +216,33 @@ class Lemma2Solution:
         return self.p > 2 and is_prime(self.p)
 
 
-def _lemma2_chunk(bounds) -> list:
-    lo, hi = bounds
+def _lemma2_chunk(max_p: int) -> list:
+    """Pell walk: every positive solution of lemma 2 with p <= max_p.
+
+    With Y = 2p+1 and 3Z = 2q+1 the two equations say Y^2 - 3Z^2 = -2.
+    Z[sqrt3] is norm-Euclidean (a PID) and (1+sqrt3)^2 = 2(2+sqrt3) makes (1+sqrt3)
+    its only prime over 2, so an element of norm -2 is (1+sqrt3) times a
+    unit +-(2+sqrt3)^k, k in Z. Y, Z > 0 holds exactly for the plus sign
+    and k >= 0; for k < 0 the conjugate is negative and larger, so Y < 0.
+    (2+sqrt3)^2 = 4(2+sqrt3) - 1, so Y and Z follow x' = 4x - x_prev, and p
+    and q follow x' = 4x - x_prev + 1 from p = 0, 2 and q = 1, 4 (k = 0, 1).
+    """
     out = []
-    for p in range(lo, hi + 1):
-        r = p * p + p + 1
-        m = 12 * r - 3
-        u = isqrt(m)
-        if u * u == m and u >= 3:
-            q = (u - 1) // 2
-            if q * q + q + 1 == 3 * r:
-                out.append(Lemma2Solution(p, q, r))
+    p0, p, q0, q = 0, 2, 1, 4
+    while p <= max_p:
+        out.append(Lemma2Solution(p, q, p * p + p + 1))
+        p0, p = p, 4 * p - p0 + 1
+        q0, q = q, 4 * q - q0 + 1
     return out
 
 
 def lemma2_scan(max_p: int, jobs: int | None = 1) -> list:
     """All positive integer solutions of p^2+p+1 = r, q^2+q+1 = 3r with
     p <= max_p, sorted by p. The supporting lemma says no solution has p an
-    odd prime; solutions that do exist (like p = 2) are incidental."""
-    if max_p < 1:
-        return []
-    parts = _parts(jobs, max_p)
-    edges = [1 + (max_p * k) // parts for k in range(parts)] + [max_p + 1]
-    chunks = [(edges[k], edges[k + 1] - 1) for k in range(parts) if edges[k] <= edges[k + 1] - 1]
-    results = run_chunks(_lemma2_chunk, chunks, jobs)
-    merged = [s for part in results for s in part]
-    merged.sort(key=lambda s: s.p)
-    return merged
+    odd prime; solutions that do exist (like p = 2) are incidental. The
+    walk takes O(log max_p) steps in one process, whatever jobs says."""
+    return _lemma2_chunk(max_p)
 
 
 def lemma2_violations(solutions) -> list:
     return [s for s in solutions if s.p_is_odd_prime]
-
-
-def _census_chunk(primes) -> dict:
-    counts = {}
-    for p in primes:
-        k = len(factorize(p * p + p + 1))
-        key = (BUCKETS[min(k, 3) - 1], p % 3)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
-    """Counts of odd primes 3 < p <= max_prime per (bucket, residue) cell;
-    all six cells are present, empty ones as zero."""
-    primes = [p for p in sieve(max_prime) if p > 3]
-    chunks = stride_chunks(primes, _parts(jobs, len(primes)))
-    counts = {(bucket, residue): 0 for bucket in BUCKETS for residue in RESIDUES}
-    for part in run_chunks(_census_chunk, chunks, jobs):
-        for key, n in part.items():
-            counts[key] += n
-    return counts

@@ -21,12 +21,6 @@ class UnboundedSlopeError(ValueError):
     """The objective Omega - slope*omega has no finite minimum."""
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    system: ConstraintSystem
-    objective: LinExpr
-
-
 @dataclass
 class LPSolution:
     status: simplex.Status
@@ -47,10 +41,9 @@ class SlopeBound:
     witness: dict  # Var -> Fraction, a feasible point attaining the constant
 
 
-def minimize(problem: LPProblem) -> LPSolution:
+def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     """Exact minimum of the objective over the system; duals come back as a
     complete per-constraint multiplier map."""
-    system = problem.system
     rows = []
     relations = []
     rhs = []
@@ -58,7 +51,7 @@ def minimize(problem: LPProblem) -> LPSolution:
         rows.append([c.body.coeff(v) for v in Var])
         relations.append(simplex.GE if c.relation is Relation.GE else simplex.EQ)
         rhs.append(-c.body.constant)
-    cost = [problem.objective.coeff(v) for v in Var]
+    cost = [objective.coeff(v) for v in Var]
     result = simplex.solve(rows, relations, rhs, cost)
     if result.status is not simplex.Status.OPTIMAL:
         return LPSolution(result.status)
@@ -66,9 +59,11 @@ def minimize(problem: LPProblem) -> LPSolution:
     primal = {v: result.x[v.value] for v in Var}
     for c in system.constraints:  # the witness must satisfy the system exactly
         body = c.body.evaluate(primal)
-        assert body == 0 if c.relation is Relation.EQ else body >= 0, c.name
-    value = result.value + problem.objective.constant
-    assert problem.objective.evaluate(primal) == value
+        if not (body == 0 if c.relation is Relation.EQ else body >= 0):
+            raise RuntimeError(f"simplex witness violates constraint {c.name}: {body}")
+    value = result.value + objective.constant
+    if objective.evaluate(primal) != value:
+        raise RuntimeError(f"objective at the simplex witness is not the optimum {value}")
     multipliers = {c.name: result.duals[i]
                    for i, c in enumerate(system.constraints)}
     return LPSolution(simplex.Status.OPTIMAL, value, primal, multipliers)
@@ -79,7 +74,7 @@ def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     dual certificate (re-verified) and an attaining witness."""
     slope = Fraction(slope)
     objective = LinExpr({Var.Omega: 1, Var.omega: -slope})
-    solution = minimize(LPProblem(system, objective))
+    solution = minimize(system, objective)
     if solution.status is simplex.Status.UNBOUNDED:
         raise UnboundedSlopeError(
             f"slope {format_rational(slope)} not supported by system")
@@ -93,8 +88,10 @@ def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
         claimed_constant=solution.value,
     )
     report = verify_certificate(system, cert)
-    assert report.passed, f"dual certificate failed: {report.failure_reason}"
-    assert report.derived_constant == solution.value
+    if not report.passed:
+        raise RuntimeError(f"dual certificate failed: {report.failure_reason}")
+    if report.derived_constant != solution.value:
+        raise RuntimeError(f"certificate gives {report.derived_constant}, LP {solution.value}")
     return SlopeBound(slope, solution.value, cert, solution.primal)
 
 

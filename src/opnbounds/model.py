@@ -177,21 +177,7 @@ def render_linexpr(expr: LinExpr, order=None) -> str:
 
 def render_bound(slope: Fraction, constant: Fraction) -> str:
     """The claimed inequality as text: 'Ω ≥ 8/3·ω - 7/3'."""
-    if slope == 0:
-        return f"Ω ≥ {format_rational(constant)}"
-    mag = abs(slope)
-    if mag == 1:
-        term = "ω"
-    elif mag.denominator == 1:
-        term = f"{mag}ω"
-    else:
-        term = f"{format_rational(mag)}·ω"
-    head = f"Ω ≥ {term}" if slope > 0 else f"Ω ≥ -{term}"
-    if constant > 0:
-        return f"{head} + {format_rational(constant)}"
-    if constant < 0:
-        return f"{head} - {format_rational(-constant)}"
-    return head
+    return f"Ω ≥ {render_linexpr(LinExpr({Var.omega: slope}, constant))}"
 
 
 def describe_system(system: ConstraintSystem) -> str:

@@ -2,53 +2,47 @@
 desk-scale scans (inputs comfortably below 2^64 and a bit beyond).
 
 Factorization runs a small trial-division wheel first, then finishes any
-surviving cofactor with deterministic Miller-Rabin plus Brent's rho with a
-fixed parameter schedule, so repeated runs factor identically.
+surviving cofactor with Miller-Rabin plus Brent's rho with a fixed parameter
+schedule, so repeated runs factor identically.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-# strong-pseudoprime bases making Miller-Rabin deterministic far past any
-# input this package meets (valid below 3.3 * 10^24)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes as strong-pseudoprime bases: Miller-Rabin with them is
+# deterministic below psi_13 = 3317044064679887385961981 (about 3.3 * 10^24;
+# Sorenson and Webster 2015). The first 12 alone stop at
+# psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_BOUND = 1000
 
 
-def _simple_sieve(limit: int) -> list:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytearray(len(flags[p * p::p]))
-    return [i for i, f in enumerate(flags) if f]
+def odd_prime_flags(lo: int, size: int) -> bytearray:
+    """flags[j] is 1 exactly when lo + 2j is prime; lo is odd and >= 3."""
+    flags = bytearray([1]) * size
+    for p in sieve(isqrt(lo + 2 * size - 2))[1:]:
+        start = max(p * p, (lo + p - 1) // p * p)
+        if not start & 1:
+            start += p
+        j = (start - lo) >> 1  # odd multiples of p step by 2p, which is p in j
+        flags[j::p] = bytes(len(range(j, size, p)))
+    return flags
 
 
 def sieve(limit: int) -> list:
-    """All primes <= limit via a segmented sieve; memory stays near sqrt(limit)."""
+    """All primes <= limit, sieving the odd numbers one segment at a time."""
     if limit < 2:
         return []
-    root = isqrt(limit)
-    base = _simple_sieve(root)
-    primes = list(base)
-    segment = max(root, 1 << 16)
-    low = root + 1
-    while low <= limit:
-        high = min(low + segment - 1, limit)
-        flags = bytearray([1]) * (high - low + 1)
-        for p in base:
-            start = max(p * p, (low + p - 1) // p * p)
-            flags[start - low::p] = bytearray(len(flags[start - low::p]))
-        primes.extend(i + low for i, f in enumerate(flags) if f)
-        low = high + 1
+    primes, step = [2], max(isqrt(limit), 1 << 16)  # step: odd numbers per segment
+    for lo in range(3, limit + 1, 2 * step):
+        flags = odd_prime_flags(lo, min(step, (limit - lo) // 2 + 1))
+        primes.extend(lo + 2 * j for j, f in enumerate(flags) if f)
     return primes
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes this package handles."""
+    """Miller-Rabin on the bases in _MR_BASES, deterministic below psi_13."""
     if n < 2:
         return False
     for p in _MR_BASES:

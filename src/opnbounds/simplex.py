@@ -161,7 +161,8 @@ def solve(rows, relations, rhs, objective) -> SimplexResult:
                     z[j] -= row[j]
                 zrhs -= tb.b[i]
         state, zrhs = tb.run(z, zrhs, tb.total)
-        assert state == "optimal", "phase 1 objective is bounded below by zero"
+        if state != "optimal":
+            raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
         if -zrhs != 0:
             return SimplexResult(Status.INFEASIBLE)
         _drive_out_artificials(tb, z)
@@ -193,11 +194,13 @@ def solve(rows, relations, rhs, objective) -> SimplexResult:
             continue  # row found redundant in phase 1; multiplier stays 0
         if relations[i] == GE:
             duals[i] = z[tb.surplus_col[i]]
-            assert duals[i] >= 0, "inequality dual must be nonnegative"
+            if duals[i] < 0:
+                raise RuntimeError(f"dual of inequality row {i} is negative: {duals[i]}")
         else:
             duals[i] = -tb.sigma[i] * z[tb.art_col[i]]
     paid = sum((duals[i] * Fraction(rhs[i]) for i in range(m)), _ZERO)
-    assert paid == value, "strong duality must hold exactly"
+    if paid != value:
+        raise RuntimeError(f"strong duality fails: dual value {paid}, primal value {value}")
     return SimplexResult(Status.OPTIMAL, value, x, duals)
 
 

@@ -29,10 +29,3 @@ def run_chunks(fn, chunks: list, jobs: int | None) -> list:
         return [fn(chunk) for chunk in chunks]
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, chunks)
-
-
-def stride_chunks(items: list, parts: int) -> list:
-    """Split round-robin so early-index-heavy workloads stay balanced;
-    callers must merge order-independently (sort or sum)."""
-    parts = max(1, min(parts, len(items)))
-    return [items[k::parts] for k in range(parts)]

@@ -150,7 +150,7 @@ def _solver_transcript():
     byte-identical determinism check."""
     lines = []
     # slopes stay inside each system's supported range: three_coprime tips
-    # over at 3, three_divides exactly at 21/8
+    # over at 8/3, three_divides at 21/8
     for system, label, slopes in (
             (NO3, "no3", (Fraction(2), Fraction(8, 3), Fraction(21, 8))),
             (WITH3, "with3", (Fraction(2), Fraction(5, 2), Fraction(21, 8))),

@@ -4,8 +4,7 @@ from itertools import product
 
 import pytest
 
-from opnbounds.enumeration import (ScanResult, _closed_form_feasible,
-                                   integer_scan, is_feasible)
+from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
 
@@ -14,6 +13,44 @@ WITH3 = build_system(Case.THREE_DIVIDES)
 WITH3_SHARP = build_system(Case.THREE_DIVIDES, True)
 
 FREE = (Var.e, Var.s1, Var.s21, Var.s22, Var.s31, Var.s32, Var.t, Var.f3, Var.f4)
+
+
+def _closed_form_feasible(case: Case, include_f3_min2: bool, point) -> bool:
+    """Hand-written evaluation of the same constraints, one comparison per
+    table row; the independent second route for auditing is_feasible."""
+    e, s, t = point[Var.e], point[Var.s], point[Var.t]
+    s1, s2, s3 = point[Var.s1], point[Var.s2], point[Var.s3]
+    s21, s22 = point[Var.s21], point[Var.s22]
+    s31, s32 = point[Var.s31], point[Var.s32]
+    f3, f4 = point[Var.f3], point[Var.f4]
+    big, small = point[Var.Omega], point[Var.omega]
+    if e < 1:
+        return False
+    if s1 + s2 + s3 != s or s21 + s22 != s2 or s31 + s32 != s3:
+        return False
+    if big < e + f3 + 2 * s + f4:
+        return False
+    if s1 + s22 > t + s21 + s31 + 1:
+        return False
+    if s1 > t + s31 + 1:
+        return False
+    if s21 + s31 > f3:
+        return False
+    if s1 + 2 * s22 + 3 * s32 > f4 + e + s21:
+        return False
+    if 4 * t > f4:
+        return False
+    if case is Case.THREE_COPRIME:
+        if small != s + t + 1:
+            return False
+        if f3 or s21 or s31:
+            return False
+    else:
+        if small != s + t + 2:
+            return False
+        if include_f3_min2 and f3 < 2:
+            return False
+    return True
 
 
 def _complete(case, free):

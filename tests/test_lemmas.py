@@ -1,11 +1,20 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
+                           brute_shared_triples)
+from opnbounds import lemmas
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
-                              lemma2_violations, shared_primes)
+                              lemma2_violations, shared_primes,
+                              sigma_prime_index)
 from opnbounds.primes import is_prime, sieve
+
+# counts pinned from an independent factoring library
+CENSUS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "census_reference.json"
 
 # classification of the first odd primes above 3, frozen from a
 # trial-division-only reference run
@@ -147,3 +156,67 @@ def test_census_empty_below_first_prime():
 
 def test_census_worker_independent():
     assert bucket_census(500, jobs=3) == bucket_census(500, jobs=1)
+
+
+# cross-checks against the direct loops in nt_bruteforce
+
+def test_census_matches_bruteforce():
+    for size in (5, 6, 7, 30, 1000, 4099, 20000):
+        assert bucket_census(size) == brute_census(size), size
+
+
+def test_census_matches_pinned_reference_at_20000():
+    pinned = json.loads(CENSUS_REFERENCE.read_text())["counts"]["20000"]
+    got = bucket_census(20000)
+    assert {f"{bucket} residue {residue}": n for (bucket, residue), n in got.items()} == pinned
+
+
+def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
+    # short segments put several boundaries, and several per worker, in range
+    monkeypatch.setattr(lemmas, "_SEGMENT", 777)
+    want = brute_census(20000)
+    for jobs in (1, 2, 3):
+        assert bucket_census(20000, jobs=jobs) == want, jobs
+
+
+def test_shared_prime_triples_match_all_pairs_gcd():
+    index = sigma_prime_index(600)
+    triples = {(a, b, q) for q, members in index.items()
+               for i, a in enumerate(members) for b in members[i + 1:]}
+    assert triples == brute_shared_triples(600)
+    assert len(triples) == 2113
+    assert sum(a % 3 == b % 3 for a, b, _ in triples) == 1651
+
+
+def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
+    # with q = 100 standing in for a shared prime, a same-residue pair a < b
+    # violates exactly when a + b + 1 < 3q (residue 1) or 5q (residue 2);
+    # the walk must report those and stop at the rest
+    members = [5, 7, 11, 13, 17, 283, 293, 331, 491]
+    want = set()
+    for a in members:
+        for b in members:
+            k = 3 if a % 3 == 1 else 5
+            if a < b and a % 3 == b % 3 and a + b + 1 < k * 100:
+                want.add((a, b, 100, Fraction(a + b + 1, k)))
+    found = lemmas._lemma1_chunk([(100, members)])
+    assert {(v.a, v.b, v.p, v.bound) for v in found} == want
+    assert len(found) == len(want) == 10
+    assert all(331 not in (v.a, v.b) for v in found)  # 7 + 331 + 1 >= 300
+
+
+def test_lemma1_matches_bruteforce():
+    assert lemma1_scan(1500, jobs=2) == brute_lemma1(1500) == []
+
+
+def test_lemma2_matches_bruteforce():
+    assert lemma2_scan(10**5) == brute_lemma2(10**5)
+
+
+def test_pell_walk_to_1e60():
+    solutions = lemma2_scan(10**60)
+    assert len(solutions) == 105
+    assert solutions[-1].p <= 10**60 < 4 * solutions[-1].p
+    for s in solutions:
+        assert s.p * s.p + s.p + 1 == s.r
+        assert s.q * s.q + s.q + 1 == 3 * s.r

@@ -6,8 +6,7 @@ import pytest
 from opnbounds.certificates import verify_certificate
 from opnbounds.enumeration import is_feasible
 from opnbounds.linexpr import LinExpr
-from opnbounds.lp import (LPProblem, UnboundedSlopeError, best_constant,
-                          frontier, minimize)
+from opnbounds.lp import UnboundedSlopeError, best_constant, frontier, minimize
 from opnbounds.model import Case, Relation, Var, build_system
 from opnbounds.simplex import Status
 
@@ -96,27 +95,35 @@ def test_three_divides_tips_over_at_21_8():
             assert moved >= 0, con.name
 
 
+def test_three_coprime_tips_over_at_8_3():
+    # 8/3 is the steepest supported slope when 3 does not divide N: it is
+    # attained (-7/3, the paper's bound) and anything steeper is unbounded
+    assert best_constant(NO3, Fraction(8, 3)).constant == Fraction(-7, 3)
+    with pytest.raises(UnboundedSlopeError, match="not supported"):
+        best_constant(NO3, Fraction(8, 3) + Fraction(1, 1000))
+
+
 def test_minimize_statuses():
-    zero = minimize(LPProblem(NO3, LinExpr({})))
+    zero = minimize(NO3, LinExpr({}))
     assert zero.status is Status.OPTIMAL and zero.value == 0
-    down = minimize(LPProblem(NO3, LinExpr({Var.e: -1})))
+    down = minimize(NO3, LinExpr({Var.e: -1}))
     assert down.status is Status.UNBOUNDED
     assert down.value is None and down.primal is None
 
 
 def test_minimize_primal_is_exactly_feasible():
-    problem = LPProblem(NO3, LinExpr({Var.Omega: 1, Var.omega: Fraction(-8, 3)}))
-    solution = minimize(problem)
+    objective = LinExpr({Var.Omega: 1, Var.omega: Fraction(-8, 3)})
+    solution = minimize(NO3, objective)
     assert solution.optimal
     for c in NO3.constraints:
         value = c.body.evaluate(solution.primal)
         assert value == 0 if c.relation is Relation.EQ else value >= 0, c.name
-    assert problem.objective.evaluate(solution.primal) == solution.value
+    assert objective.evaluate(solution.primal) == solution.value
     assert all(v >= 0 for v in solution.primal.values())
 
 
 def test_multiplier_map_covers_constraints():
-    solution = minimize(LPProblem(NO3, LinExpr({Var.Omega: 1})))
+    solution = minimize(NO3, LinExpr({Var.Omega: 1}))
     assert solution.optimal
     assert set(solution.multipliers) <= set(NO3.names())
     for name, y in solution.multipliers.items():

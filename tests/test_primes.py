@@ -75,3 +75,16 @@ def test_factorize_edges():
         assert is_prime(f)
         prod *= f
     assert prod == n
+
+
+# psi_12, the smallest strong pseudoprime to all twelve prime bases 2..37
+# (Sorenson and Webster 2015); base 41 exposes it
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_psi_12():
+    assert not is_prime(PSI_12)
+
+
+def test_factorize_psi_12():
+    assert factorize(PSI_12) == [399165290221, 798330580441]
