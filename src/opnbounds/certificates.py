@@ -7,7 +7,9 @@ the weighted sum exactly: multipliers on inequalities must be nonnegative
 and after normalizing it to 1 every other variable's coefficient (the
 residual) must be nonpositive. Then Omega - slope*omega + residual-terms +
 constant >= 0 holds at every feasible point, which proves the claim whenever
-the derived constant is at least the claimed one.
+the derived constant is at least the claimed one. Every multiplier must
+also name a row of the system the certificate's own header declares, so a
+certificate cannot lean on an assumption (such as f3 >= 2) it does not state.
 """
 from __future__ import annotations
 
@@ -65,9 +67,13 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
         return fail(f"system mismatch: certificate targets {cert.case.value}, "
                     f"system is {system.case.value}")
     by_name = system.mapping()
+    own = (by_name if cert.include_f3_min2 == system.include_f3_min2
+           else cert.system().mapping())
     for name in cert.multipliers:
         if name not in by_name:
             return fail(f"unknown constraint: {name}")
+        if name not in own:
+            return fail(f"constraint outside the certificate's own system: {name}")
     for name, multiplier in cert.multipliers.items():
         if by_name[name].relation is Relation.GE and multiplier < 0:
             return fail(f"illegal multiplier sign: {name}")

@@ -1,11 +1,43 @@
-"""Brute-force integer enumeration over the constraint systems.
+"""Exact integer minimum of Omega - slope*omega over the constraint systems.
 
-The scan walks the nine free variables (e, s1, s21, s22, s31, s32, t, f3,
+The scan covers the nine free variables (e, s1, s21, s22, s31, s32, t, f3,
 f4) over [0, box_max], substitutes the breakdown equalities for s2, s3, s
 and omega, and sets Omega to its Eq. 9 floor e + f3 + 2s + f4, which is
 exact for any objective that increases in Omega since nothing else bounds
-Omega. Loop bounds below encode the remaining inequalities directly, so
-only feasible points are visited; that is pure pruning, not a relaxation.
+Omega. With slope = num/den in lowest terms (den > 0) it minimises the
+integer key
+
+    den*Omega - num*omega = den*(e + f3 + f4) - num*(t + extra) + c*s,
+    c = 2*den - num,
+
+where extra is 1 for three_coprime and 2 for three_divides.
+
+The outer variables e, t, f4, f3, s21, s31 are walked with loop bounds that
+encode Eq. 5, 12 and 14 and the case rows, so only feasible values are
+visited. The inner block s1, s22, s32 is solved instead of walked. It enters
+the key only through s = s21 + s31 + S with S = s1 + s22 + s32, with weight
+c, and only Eq. 10, 11 and 13 and the box bound it. Those read the outer
+values only through (t, s21, s31, e + f4), and s1 = s22 = s32 = 0 always
+satisfies them. So for one outer point:
+
+- c >= 0 (slope <= 2): S = 0 gives the least key (c > 0) or ties every
+  other point (c = 0).
+- c < 0: the least key needs the largest feasible S.
+
+Ties resolve to the lexicographically least witness tuple in declaration
+order (e, s, t, s1, s2, s3, s21, s22, s31, s32, f3, f4, Omega, omega).
+Within one outer point e, t, s21, s31, f3 and f4 are fixed, so among its
+points of least key the order is decided by s, then s1, then s2 = s21 + s22;
+s3, Omega and omega follow from those. For c >= 0 the least s is S = 0, a
+single point. For c < 0 every point of least key has the largest S, hence
+the same s, and the least of them has the least s1, then the least s22. Its
+s32 = S - s1 - s22 is min(box, budget // 3) with budget the slack of Eq. 13
+at s32 = 0: no larger s32 is feasible, and a smaller one would make S
+smaller. Each outer point thus yields its least (key, witness) pair, and
+the least pair over all outer points is the least over the whole box, which
+is what visiting every point returns. tests/scan_bruteforce.py keeps that
+visit as the test oracle. The c < 0 block depends on (t, s21, s31, e + f4)
+alone and is memoised per chunk.
 """
 from __future__ import annotations
 
@@ -42,6 +74,29 @@ class ScanResult:
     witness: dict | None         # Var -> int, lexicographically least minimizer
 
 
+def _largest_block(box, t, s21, s31, rest):
+    """(s1, s22, s32) with the largest s1 + s22 + s32 under Eq. 10, 11 and 13
+    and the box, then the least s1, then the least s22; rest is e + f4.
+
+    s32 = min(box, budget // 3) where budget = rest + s21 - s1 - 2*s22 is the
+    Eq. 13 slack at s32 = 0. One more s22 lowers budget // 3 by at most one,
+    so for each s1 the sum is largest at the top feasible s22."""
+    room = rest + s21
+
+    def size(s1, s22):
+        return s1 + s22 + min(box, (room - s1 - 2 * s22) // 3)
+
+    best = None
+    for s1 in range(0, min(box, t + s31 + 1, room) + 1):                # Eq. 11, 13
+        top = min(box, t + s21 + s31 + 1 - s1, (room - s1) // 2)       # Eq. 10, 13
+        total = size(s1, top)
+        if best is None or total > best[0]:
+            best = (total, s1, top)
+    total, s1, top = best
+    s22 = next(s22 for s22 in range(top + 1) if size(s1, s22) == total)
+    return s1, s22, total - s1 - s22
+
+
 def _scan_chunk(args):
     no3, f3_min2, num, den, box, e_values = args
     omega_extra = 1 if no3 else 2
@@ -51,6 +106,8 @@ def _scan_chunk(args):
         f3_range = range(2, box + 1)
     else:
         f3_range = range(0, box + 1)
+    fill = 2 * den - num < 0      # the key falls as s grows
+    blocks = {}
     best = None
     for e in e_values:
         for t in range(0, box // 4 + 1):              # Eq. 14 with f4 <= box
@@ -60,27 +117,27 @@ def _scan_chunk(args):
                     for s21 in range(0, s21_top + 1):
                         s31_top = 0 if no3 else min(box, f3 - s21)
                         for s31 in range(0, s31_top + 1):
-                            for s1 in range(0, min(box, t + s31 + 1) + 1):      # Eq. 11
-                                s22_top = min(box, t + s21 + s31 + 1 - s1)      # Eq. 10
-                                for s22 in range(0, s22_top + 1):
-                                    budget = f4 + e + s21 - s1 - 2 * s22        # Eq. 13
-                                    if budget < 0:
-                                        break  # shrinks as s22 grows
-                                    for s32 in range(0, min(box, budget // 3) + 1):
-                                        s2 = s21 + s22
-                                        s3 = s31 + s32
-                                        s = s1 + s2 + s3
-                                        omega = s + t + omega_extra
-                                        big = e + f3 + 2 * s + f4
-                                        key = den * big - num * omega
-                                        if best is None or key < best[0]:
-                                            best = (key, (e, s, t, s1, s2, s3, s21,
-                                                          s22, s31, s32, f3, f4, big, omega))
-                                        elif key == best[0]:
-                                            witness = (e, s, t, s1, s2, s3, s21,
-                                                       s22, s31, s32, f3, f4, big, omega)
-                                            if witness < best[1]:
-                                                best = (key, witness)
+                            s1 = s22 = s32 = 0
+                            if fill:
+                                block_key = (t, s21, s31, e + f4)
+                                block = blocks.get(block_key)
+                                if block is None:
+                                    block = blocks[block_key] = _largest_block(box, *block_key)
+                                s1, s22, s32 = block
+                            s2 = s21 + s22
+                            s3 = s31 + s32
+                            s = s1 + s2 + s3
+                            omega = s + t + omega_extra
+                            big = e + f3 + 2 * s + f4
+                            key = den * big - num * omega
+                            if best is None or key < best[0]:
+                                best = (key, (e, s, t, s1, s2, s3, s21,
+                                              s22, s31, s32, f3, f4, big, omega))
+                            elif key == best[0]:
+                                witness = (e, s, t, s1, s2, s3, s21,
+                                           s22, s31, s32, f3, f4, big, omega)
+                                if witness < best[1]:
+                                    best = (key, witness)
     return best
 
 

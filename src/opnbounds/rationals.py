@@ -2,26 +2,17 @@
 
 Every coefficient in this package is a fractions.Fraction. Fraction already
 guarantees the invariants we rely on (lowest terms, positive denominator,
-arbitrary precision integers), so this module only pins down construction
-plus the one string spelling that crosses file and CLI boundaries.
+arbitrary precision integers), so this module only pins down the one string
+spelling that crosses file and CLI boundaries.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 # accepted wire format: optional sign, integer, optional /denominator with no
 # sign and no leading zero; no whitespace, no decimals
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction num/den with positive denominator. Rejects den == 0."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:

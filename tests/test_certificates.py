@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from opnbounds.certificates import (Certificate, CertificateFormatError,
                                     certificate_from_dict, certificate_to_dict,
                                     load_certificate, save_certificate,
                                     verify_certificate)
+from opnbounds.lp import best_constant
 from opnbounds.model import Case, Var, build_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "certificates"
@@ -50,6 +52,19 @@ def test_fixture_b_passes_against_f3_min2_system_too():
     report = verify_certificate(build_system(Case.THREE_DIVIDES, True), fixture_b())
     assert report.passed
     assert report.derived_constant == Fraction(-39, 8)
+
+
+def test_certificate_cannot_use_a_row_its_header_lacks():
+    sharp = build_system(Case.THREE_DIVIDES, True)
+    bound = best_constant(sharp, Fraction(0))
+    assert bound.constant == 3 and "f3_min2" in bound.certificate.multipliers
+    assert verify_certificate(sharp, bound.certificate).passed
+    # relabelled as unconditional it would claim Omega >= 3 without f3 >= 2
+    relabelled = replace(bound.certificate, include_f3_min2=False)
+    report = verify_certificate(sharp, relabelled)
+    assert not report.passed
+    assert report.failure_reason == \
+        "constraint outside the certificate's own system: f3_min2"
 
 
 def test_scaling_invariance():

@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
+from scan_bruteforce import bruteforce_scan
 
 NO3 = build_system(Case.THREE_COPRIME)
 WITH3 = build_system(Case.THREE_DIVIDES)
@@ -150,13 +153,51 @@ def test_three_feasibility_paths_agree():
 
 
 @pytest.mark.parametrize("system", [NO3, WITH3, WITH3_SHARP])
-@pytest.mark.parametrize("slope", [Fraction(0), Fraction(2), Fraction(8, 3),
-                                   Fraction(21, 8), Fraction(3)])
+@pytest.mark.parametrize("slope", [Fraction(0), Fraction(2), Fraction(9, 4), Fraction(8, 3),
+                                   Fraction(21, 8), Fraction(3), Fraction(7, 2)])
 def test_pruned_scan_equals_naive_scan(system, slope):
     for box in (1, 2):
         got = integer_scan(system, slope, box)
         want = _naive_scan(system, slope, box)
         assert got == want, (system.case, slope, box)
+
+
+ORACLE_SLOPES = [Fraction(x) for x in ("0", "1", "2", "41/20", "7/3", "5/2", "21/8",
+                                         "8/3", "11/4", "3", "4", "-1")]
+
+
+@pytest.mark.parametrize("system", [NO3, WITH3, WITH3_SHARP])
+@pytest.mark.parametrize("slope", ORACLE_SLOPES)
+def test_scan_equals_pruned_loop_oracle(system, slope):
+    # both sides of slope 2, where the solved s1/s22/s32 block switches from
+    # empty to largest, and past both tips; boxes 0 and 5 are left to the
+    # drawn cases below to keep the point-by-point loop cheap
+    for box in (1, 2, 3, 4, 6):
+        assert integer_scan(system, slope, box) == bruteforce_scan(system, slope, box), \
+            (system.case, system.include_f3_min2, slope, box)
+
+
+def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes():
+    want = bruteforce_scan(WITH3, Fraction(21, 8), 9)
+    assert want.minimum == Fraction(-39, 8)
+    assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=1) == want
+    assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=3) == want
+    want = bruteforce_scan(NO3, Fraction(8, 3), 40)
+    assert want.minimum == Fraction(-7, 3)
+    assert integer_scan(NO3, Fraction(8, 3), 40, jobs=1) == want
+
+
+# k/d in [-1, 4] with d <= 48
+SLOPES = st.integers(1, 48).flatmap(
+    lambda den: st.integers(-den, 4 * den).map(lambda num: Fraction(num, den)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=st.sampled_from(list(Case)), f3_min2=st.booleans(), slope=SLOPES,
+       box=st.integers(0, 5))
+def test_scan_equals_pruned_loop_oracle_on_drawn_cases(case, f3_min2, slope, box):
+    system = build_system(case, f3_min2)
+    assert integer_scan(system, slope, box, jobs=1) == bruteforce_scan(system, slope, box)
 
 
 def test_box_four_reproduces_theorem_minima():
