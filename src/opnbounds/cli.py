@@ -233,7 +233,11 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     system = _system_from(args)
-    result = integer_scan(system, args.slope, args.box, jobs=args.jobs)
+    try:
+        result = integer_scan(system, args.slope, args.box, jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         _emit_json({
             "minimum": None if result.minimum is None

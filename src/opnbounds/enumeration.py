@@ -51,6 +51,11 @@ from .workers import effective_jobs, run_chunks
 # witness tuples follow the variable declaration order
 _TUPLE_ORDER = tuple(Var)
 
+# Largest box integer_scan accepts per case. The outer walk grows like box^5
+# for three_divides and box^3 for three_coprime; at these caps a scan takes
+# about 8 s (2-core host, CPython 3.11.7) at the slowest slopes, past 2.
+MAX_BOX = {Case.THREE_COPRIME: 320, Case.THREE_DIVIDES: 26}
+
 
 def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
     """Every constraint of the system holds exactly at the point. The sum is
@@ -145,9 +150,14 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
                  jobs: int | None = 1) -> ScanResult:
     """Exact minimum of Omega - slope*omega over feasible integer points
     whose free variables lie in [0, box_max]; ties on the value resolve to
-    the lexicographically least witness in declaration order."""
+    the lexicographically least witness in declaration order. A box past
+    MAX_BOX for the system's case raises ValueError before any work."""
     if box_max < 0:
         raise ValueError("box_max must be nonnegative")
+    cap = MAX_BOX[system.case]
+    if box_max > cap:
+        raise ValueError(f"box {box_max} is larger than {cap}, the largest "
+                         f"scan box for {system.case.value}")
     slope = Fraction(slope)
     no3 = system.case is Case.THREE_COPRIME
     e_values = list(range(1, box_max + 1))  # Eq. 5 rules out e = 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import simplex
 from .certificates import Certificate, verify_certificate
@@ -41,18 +42,24 @@ class SlopeBound:
     witness: dict  # Var -> Fraction, a feasible point attaining the constant
 
 
+@lru_cache(maxsize=4)   # build_system makes three distinct systems
+def _standard_form(system: ConstraintSystem):
+    """The system as simplex rows, relations and right-hand sides, plus its
+    phase-1 tableau, which every objective over the system starts from."""
+    rows = tuple(tuple(c.body.coeff(v) for v in Var) for c in system.constraints)
+    relations = tuple(simplex.GE if c.relation is Relation.GE else simplex.EQ
+                      for c in system.constraints)
+    rhs = tuple(-c.body.constant for c in system.constraints)
+    return rows, relations, rhs, simplex.feasible(rows, relations, rhs)
+
+
 def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     """Exact minimum of the objective over the system; duals come back as a
     complete per-constraint multiplier map."""
-    rows = []
-    relations = []
-    rhs = []
-    for c in system.constraints:
-        rows.append([c.body.coeff(v) for v in Var])
-        relations.append(simplex.GE if c.relation is Relation.GE else simplex.EQ)
-        rhs.append(-c.body.constant)
+    rows, relations, rhs, start = _standard_form(system)
     cost = [objective.coeff(v) for v in Var]
-    result = simplex.solve(rows, relations, rhs, cost)
+    # an infeasible system has no start, so solve reruns phase 1 and says so
+    result = simplex.solve(rows, relations, rhs, cost, start=start)
     if result.status is not simplex.Status.OPTIMAL:
         return LPSolution(result.status)
 

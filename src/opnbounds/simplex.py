@@ -8,15 +8,26 @@ Problem form: minimize c . x subject to rows[i] . x >= rhs[i] or == rhs[i],
 x >= 0. The result carries one dual multiplier per input row in the original
 row orientation: nonnegative on inequalities, signed on equalities, with
 sum(y_i * rhs_i) equal to the optimal objective (checked exactly).
+
+The two phases are separate calls. feasible() runs phase 1, which reads no
+objective, and returns the feasible tableau; solve() runs phase 2 on a copy
+of it. A caller minimising many objectives over the same rows (lp does, one
+per slope) runs phase 1 once and passes its tableau to every solve. That
+changes no answer: phase 2 reads only the tableau, never phase 1's objective
+row, and Bland's rule picks the same pivots from the same tableau, so each
+solve ends at the same basis, x and duals as a solve from scratch.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# run() gives up after this many pivots per row and column of the tableau
+_PIVOTS_PER_SIZE = 2000
 
 GE = ">="
 EQ = "=="
@@ -86,6 +97,15 @@ class _Tableau:
         self.orig = list(range(m))  # original row index per live tableau row
         self.first_art = min(self.art_col.values()) if self.art_col else col
 
+    def copy(self) -> _Tableau:
+        """A twin whose pivots leave this tableau as it is."""
+        twin = copy.copy(self)
+        twin.rows = [row[:] for row in self.rows]
+        twin.b = self.b[:]
+        twin.basis = self.basis[:]
+        twin.orig = self.orig[:]
+        return twin
+
     def pivot(self, r, c, z, zrhs):
         p = self.rows[r][c]
         row = self.rows[r]
@@ -114,11 +134,11 @@ class _Tableau:
         """Bland iterations until optimal or unbounded. entering_limit bounds
         the candidate columns (artificials are barred in phase 2)."""
         guard = 0
-        limit = 2000 * (len(self.rows) + self.total + 1)
+        limit = _PIVOTS_PER_SIZE * (len(self.rows) + self.total + 1)
         while True:
             guard += 1
             if guard > limit:  # Bland's rule makes this unreachable
-                raise AssertionError("pivot limit exceeded")
+                raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
             enter = -1
             for j in range(entering_limit):
                 if z[j] < 0:
@@ -141,15 +161,14 @@ class _Tableau:
             zrhs = self.pivot(leave, enter, z, zrhs)
 
 
-def solve(rows, relations, rhs, objective) -> SimplexResult:
-    """Two-phase exact simplex; see the module docstring for the problem form."""
+def feasible(rows, relations, rhs) -> _Tableau | None:
+    """Phase 1: a feasible tableau for the rows, or None when they have no
+    nonnegative solution. It depends on no objective, so one result serves
+    any number of solve calls over the same rows."""
     m = len(rows)
-    n = len(objective)
-    tb = _Tableau(rows, relations, rhs, n)
-    c = [Fraction(v) for v in objective]
-
-    # phase 1: minimize the artificial sum
+    tb = _Tableau(rows, relations, rhs, len(rows[0]) if rows else 0)
     if tb.art_col:
+        # minimize the artificial sum
         z = [_ZERO] * tb.total
         for col in tb.art_col.values():
             z[col] = _ONE
@@ -164,8 +183,25 @@ def solve(rows, relations, rhs, objective) -> SimplexResult:
         if state != "optimal":
             raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
         if -zrhs != 0:
-            return SimplexResult(Status.INFEASIBLE)
+            return None
         _drive_out_artificials(tb, z)
+    return tb
+
+
+def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> SimplexResult:
+    """Two-phase exact simplex; see the module docstring for the problem form.
+    start, when given, is feasible(rows, relations, rhs) for these same rows:
+    phase 2 then runs on a copy of it and start itself is left unchanged."""
+    m = len(rows)
+    n = len(objective)
+    if start is None:
+        start = feasible(rows, relations, rhs)
+        if start is None:
+            return SimplexResult(Status.INFEASIBLE)
+    if start.n != n:
+        raise ValueError(f"objective has {n} coefficients, the rows {start.n} columns")
+    tb = start.copy()
+    c = [Fraction(v) for v in objective]
 
     # phase 2: the real objective over the feasible tableau
     z = list(c) + [_ZERO] * (tb.total - n)

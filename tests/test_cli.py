@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from opnbounds import enumeration
 from opnbounds.certificates import certificate_from_dict, load_certificate, verify_certificate
 from opnbounds.cli import main
 from opnbounds.model import Case, build_system
@@ -139,6 +140,140 @@ def test_frontier_writes_certificates(capsys, tmp_path):
         assert verify_certificate(system, load_certificate(path)).passed
 
 
+# frontier --out certificate files, byte for byte
+FRONTIER_CERTIFICATES = {
+    ("three_divides", "slope_0_1.json"): """\
+{
+  "system": "three_divides",
+  "include_f3_min2": true,
+  "multipliers": {
+    "special_exists": "1",
+    "omega_lower": "1",
+    "t_f4": "1",
+    "f3_min2": "1"
+  },
+  "claimed_slope": "0",
+  "claimed_constant": "3"
+}
+""",
+    ("three_divides", "slope_2_1.json"): """\
+{
+  "system": "three_divides",
+  "include_f3_min2": true,
+  "multipliers": {
+    "special_exists": "1",
+    "omega_lower": "1",
+    "t_f4": "1",
+    "omega_with3": "2",
+    "f3_min2": "1"
+  },
+  "claimed_slope": "2",
+  "claimed_constant": "-1"
+}
+""",
+    ("three_divides", "slope_9_4.json"): """\
+{
+  "system": "three_divides",
+  "include_f3_min2": true,
+  "multipliers": {
+    "special_exists": "7/8",
+    "s_breakdown": "1/4",
+    "s2_breakdown": "1/4",
+    "s3_breakdown": "1/4",
+    "omega_lower": "1",
+    "s1_upper": "1/8",
+    "f3_lower": "3/8",
+    "mod3_count": "1/8",
+    "t_f4": "7/8",
+    "omega_with3": "9/4",
+    "f3_min2": "5/8"
+  },
+  "claimed_slope": "9/4",
+  "claimed_constant": "-5/2"
+}
+""",
+    ("three_divides", "slope_21_8.json"): """\
+{
+  "system": "three_divides",
+  "include_f3_min2": true,
+  "multipliers": {
+    "special_exists": "3/4",
+    "s_breakdown": "5/8",
+    "s2_breakdown": "5/8",
+    "s3_breakdown": "5/8",
+    "omega_lower": "1",
+    "s1_s22_upper": "1/8",
+    "s1_upper": "1/4",
+    "f3_lower": "1",
+    "mod3_count": "1/4",
+    "t_f4": "3/4",
+    "omega_with3": "21/8"
+  },
+  "claimed_slope": "21/8",
+  "claimed_constant": "-39/8"
+}
+""",
+    ("three_coprime", "slope_5_2.json"): """\
+{
+  "system": "three_coprime",
+  "include_f3_min2": false,
+  "multipliers": {
+    "special_exists": "2/3",
+    "s_breakdown": "1/2",
+    "s2_breakdown": "5/6",
+    "s3_breakdown": "1",
+    "omega_lower": "1",
+    "s1_s22_upper": "1/6",
+    "mod3_count": "1/3",
+    "t_f4": "2/3",
+    "omega_no3": "5/2",
+    "f3_zero": "1",
+    "s21_zero": "-4/3",
+    "s31_zero": "-7/6"
+  },
+  "claimed_slope": "5/2",
+  "claimed_constant": "-2"
+}
+""",
+    ("three_coprime", "slope_8_3.json"): """\
+{
+  "system": "three_coprime",
+  "include_f3_min2": false,
+  "multipliers": {
+    "special_exists": "7/9",
+    "s_breakdown": "2/3",
+    "s2_breakdown": "8/9",
+    "s3_breakdown": "2/3",
+    "omega_lower": "1",
+    "s1_s22_upper": "4/9",
+    "mod3_count": "2/9",
+    "t_f4": "7/9",
+    "omega_no3": "8/3",
+    "f3_zero": "1",
+    "s21_zero": "-14/9",
+    "s31_zero": "-10/9"
+  },
+  "claimed_slope": "8/3",
+  "claimed_constant": "-7/3"
+}
+""",
+}
+
+
+def test_frontier_certificates_frozen(capsys, tmp_path):
+    for system, f3_min2, slopes in (("three_divides", "on", "0,2,9/4,21/8"),
+                                    ("three_coprime", "off", "5/2,8/3")):
+        out_dir = tmp_path / system
+        code, _, _ = run(capsys, "frontier", "--system", system, "--f3-min2", f3_min2,
+                         "--slopes", slopes, "--out", str(out_dir))
+        assert code == 0
+        written = {(system, path.name): path.read_bytes().decode()
+                   for path in out_dir.iterdir()}
+        want = {key: text for key, text in FRONTIER_CERTIFICATES.items()
+                if key[0] == system}
+        assert written == want
+
+
 def test_frontier_empty_slopes(capsys):
     code, out, _ = run(capsys, "frontier", "--system", "three_coprime")
     assert code == 0
@@ -242,6 +377,20 @@ def test_scan_infeasible_box(capsys):
                        "--jobs", "1")
     assert code == 0
     assert out == "no feasible point in box\n"
+
+
+def test_scan_box_past_the_cap_exits_2(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(enumeration, "run_chunks", no_scan)
+    for system, box, cap in (("three_divides", 27, 26), ("three_coprime", 321, 320)):
+        code, out, err = run(capsys, "scan", "--system", system, "--slope", "21/8",
+                             "--box", str(box))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: box {box} is larger than {cap}, "
+                       f"the largest scan box for {system}\n")
 
 
 def test_scan_json(capsys):

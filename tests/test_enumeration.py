@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opnbounds import enumeration
 from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
@@ -222,6 +223,23 @@ def test_empty_boxes():
     assert integer_scan(WITH3_SHARP, Fraction(2), 1) == ScanResult(None, None)
     with pytest.raises(ValueError):
         integer_scan(NO3, Fraction(2), -1)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the scan started")
+
+
+def test_box_caps(monkeypatch):
+    # past these the walk (box^3 for three_coprime, box^5 for three_divides)
+    # takes more than about 10 s; the benchmark's boxes 12, 40 and 5, 9 fit
+    assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 320, Case.THREE_DIVIDES: 26}
+    monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
+    for system, cap in ((NO3, 320), (WITH3, 26), (WITH3_SHARP, 26)):
+        with pytest.raises(ValueError, match=f"^box {cap + 1} is larger than {cap}, "
+                           f"the largest scan box for {system.case.value}$"):
+            integer_scan(system, Fraction(21, 8), cap + 1)
+        with pytest.raises(AssertionError, match="the scan started"):
+            integer_scan(system, Fraction(21, 8), cap)
 
 
 def test_jobs_do_not_change_results():

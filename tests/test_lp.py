@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from opnbounds import lp, simplex
 from opnbounds.certificates import verify_certificate
 from opnbounds.enumeration import is_feasible
 from opnbounds.linexpr import LinExpr
@@ -163,3 +164,53 @@ def test_weak_duality_on_random_feasible_points():
             continue
         assert (point[Var.Omega] - Fraction(8, 3) * point[Var.omega]
                 >= bound.constant)
+
+
+# every k/d in [-1, 4] with d <= 12: both sides of 2 and past both tips
+SWEEP = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-d, 4 * d + 1)})
+
+
+def _cold_solve(system, slope):
+    """simplex.solve from scratch, phase 1 included, on the system's rows."""
+    rows = [[c.body.coeff(v) for v in Var] for c in system.constraints]
+    relations = [simplex.GE if c.relation is Relation.GE else simplex.EQ
+                 for c in system.constraints]
+    rhs = [-c.body.constant for c in system.constraints]
+    cost = [LinExpr({Var.Omega: 1, Var.omega: -slope}).coeff(v) for v in Var]
+    return simplex.solve(rows, relations, rhs, cost)
+
+
+@pytest.mark.parametrize("system", [NO3, WITH3, WITH3_SHARP],
+                         ids=["three_coprime", "three_divides", "f3_min2"])
+def test_shared_phase_one_matches_cold_solves(system):
+    for slope in SWEEP:
+        cold = _cold_solve(system, slope)
+        if cold.status is Status.UNBOUNDED:
+            with pytest.raises(UnboundedSlopeError):
+                best_constant(system, slope)
+            continue
+        assert cold.status is Status.OPTIMAL, slope
+        bound = best_constant(system, slope)
+        assert bound.constant == cold.value, slope
+        assert bound.witness == {v: cold.x[v.value] for v in Var}, slope
+        assert bound.certificate.multipliers == {
+            c.name: y for c, y in zip(system.constraints, cold.duals) if y}, slope
+
+
+def test_frontier_runs_phase_one_once_per_system(monkeypatch):
+    calls = {"feasible": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simplex, "feasible", counted("feasible", simplex.feasible))
+    monkeypatch.setattr(simplex, "solve", counted("solve", simplex.solve))
+    lp._standard_form.cache_clear()
+    for system in (NO3, WITH3, WITH3_SHARP):
+        frontier(system, SWEEP)
+    best_constant(NO3, Fraction(8, 3))   # a later call reuses the tableau too
+    lp._standard_form.cache_clear()
+    assert calls == {"feasible": 3, "solve": 3 * len(SWEEP) + 1}

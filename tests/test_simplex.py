@@ -1,7 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
-from opnbounds.simplex import EQ, GE, Status, solve
+import pytest
+
+from opnbounds.simplex import EQ, GE, Status, feasible, solve
 
 from lp_bruteforce import brute_force_lp
 
@@ -107,3 +110,32 @@ def test_random_lps_match_brute_force():
         statuses[got.status] += 1
     # the generator actually exercises all three outcomes
     assert all(count > 0 for count in statuses.values())
+
+
+def test_shared_phase_one_matches_cold_solves():
+    """Phase 2 from one feasible() tableau gives a cold solve's answer for
+    every objective and leaves the shared tableau as it was."""
+    rng = random.Random(424242)
+    infeasible = 0
+    for _ in range(60):
+        rows, relations, rhs, _ = _random_problem(rng)
+        start = feasible(rows, relations, rhs)
+        if start is None:
+            infeasible += 1
+            assert solve(rows, relations, rhs, [0] * len(rows[0])).status is Status.INFEASIBLE
+            continue
+        before = copy.deepcopy(vars(start))
+        for _ in range(4):
+            objective = [rng.randint(-3, 3) for _ in rows[0]]
+            warm = solve(rows, relations, rhs, objective, start=start)
+            cold = solve(rows, relations, rhs, objective)
+            assert (warm.status, warm.value, warm.x, warm.duals) == \
+                (cold.status, cold.value, cold.x, cold.duals), (rows, relations, rhs, objective)
+        assert vars(start) == before
+    assert infeasible > 0
+
+
+def test_start_must_match_the_objective_length():
+    start = feasible([[1, 1]], [GE], [1])
+    with pytest.raises(ValueError, match="objective has 3 coefficients, the rows 2 columns"):
+        solve([[1, 1]], [GE], [1], [1, 1, 1], start=start)

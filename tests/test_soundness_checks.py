@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import opnbounds
-from opnbounds import enumeration, lp
+from opnbounds import enumeration, lp, simplex
 from opnbounds.model import Case, build_system
 
 
@@ -36,3 +36,10 @@ def test_integer_scan_raises_on_an_infeasible_witness(monkeypatch):
     monkeypatch.setattr(enumeration, "is_feasible", lambda system, point: False)
     with pytest.raises(RuntimeError, match="infeasible witness"):
         enumeration.integer_scan(build_system(Case.THREE_COPRIME), Fraction(2), 2, jobs=1)
+
+
+def test_pivot_limit_raises_runtime_error(monkeypatch):
+    # Bland's rule cannot cycle, so a zero pivot budget stands in for a cycle
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
+    with pytest.raises(RuntimeError, match="pivot limit of 0 exceeded"):
+        simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1])
