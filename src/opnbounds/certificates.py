@@ -165,8 +165,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CertificateFormatError(f"not UTF-8: {exc}") from None
     try:
         data = json.loads(text, object_pairs_hook=_strict_object)
     except json.JSONDecodeError as exc:

@@ -48,9 +48,6 @@ from typing import Mapping
 from .model import Case, ConstraintSystem, Relation, Var
 from .workers import effective_jobs, run_chunks
 
-# witness tuples follow the variable declaration order
-_TUPLE_ORDER = tuple(Var)
-
 # Largest box integer_scan accepts per case. The outer walk grows like box^5
 # for three_divides and box^3 for three_coprime; at these caps a scan takes
 # about 8 s (2-core host, CPython 3.11.7) at the slowest slopes, past 2.
@@ -170,7 +167,7 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
             best = found
     if best is None:
         return ScanResult(None, None)
-    witness = {var: value for var, value in zip(_TUPLE_ORDER, best[1])}
+    witness = dict(zip(Var, best[1]))  # witness tuples follow declaration order
     if not is_feasible(system, witness):
         raise RuntimeError(f"scan produced an infeasible witness: {best[1]}")
     return ScanResult(Fraction(best[0], slope.denominator), witness)

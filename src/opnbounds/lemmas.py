@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .primes import factorize, is_prime, odd_prime_flags, sieve
+from .primes import PSI_13, factorize, is_prime, odd_prime_flags, sieve
 from .workers import effective_jobs, run_chunks
 
 BUCKETS = ("S1", "S2", "S3plus")
@@ -46,12 +46,19 @@ class PrimeClass:
 
 
 def classify_prime(p: int) -> PrimeClass:
-    """Classify an odd prime p > 3 by the factorization of p^2 + p + 1."""
+    """Classify an odd prime p > 3 by the factorization of p^2 + p + 1.
+
+    p^2 + p + 1 must be below PSI_13, where is_prime is proven; that keeps
+    p below about 1.82 * 10^12 and bounds the time factorize can take.
+    """
     if p <= 3:
         raise ValueError(f"classification needs an odd prime above 3, got {p}")
+    sigma = p * p + p + 1
+    if sigma >= PSI_13:
+        raise ValueError(f"p^2+p+1 = {sigma} is not below psi_13 = {PSI_13}, "
+                         f"the proven range of is_prime")
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    sigma = p * p + p + 1
     return PrimeClass(p, p % 3, sigma, tuple(factorize(sigma)))
 
 

@@ -54,8 +54,6 @@ class Var(IntEnum):
     omega = 13
 
 
-VAR_ORDER = tuple(Var)
-
 # display names; only the two totals get non-ascii glyphs
 _PRETTY = {Var.Omega: "Ω", Var.omega: "ω"}
 
@@ -144,16 +142,13 @@ def build_system(case: Case, include_f3_min2: bool = False) -> ConstraintSystem:
     return ConstraintSystem(case, include_f3_min2, tuple(constraints))
 
 
-def render_linexpr(expr: LinExpr, order=None) -> str:
+def render_linexpr(expr: LinExpr) -> str:
     """Human form of a linear expression, e.g. 'Ω - e - f3 - 2s - f4'.
 
-    Terms follow the expression's own stored order unless an explicit
-    variable order is given; the constant comes last.
+    Terms follow the expression's own stored order; the constant comes last.
     """
-    variables = list(expr.terms) if order is None else [v for v in order if v in expr.terms]
     pieces = []
-    for var in variables:
-        coeff = expr.terms[var]
+    for var, coeff in expr.terms.items():
         mag = abs(coeff)
         if mag == 1:
             body = var_display(var)

@@ -10,10 +10,10 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 # the first 13 primes as strong-pseudoprime bases: Miller-Rabin with them is
-# deterministic below psi_13 = 3317044064679887385961981 (about 3.3 * 10^24;
-# Sorenson and Webster 2015). The first 12 alone stop at
-# psi_12 = 318665857834031151167461.
+# deterministic below PSI_13, about 3.3 * 10^24 (Sorenson and Webster 2015).
+# The first 12 alone stop at psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 _TRIAL_BOUND = 1000
 
@@ -42,7 +42,7 @@ def sieve(limit: int) -> list:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the bases in _MR_BASES, deterministic below psi_13."""
+    """Miller-Rabin on the bases in _MR_BASES, proven correct for n < PSI_13."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -98,7 +98,7 @@ def _brent_rho(n: int) -> int:
         c += 1  # rare: the whole cycle collapsed, retry with a new constant
 
 
-def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> list:
+def factorize(n: int) -> list:
     """Sorted prime factors of n >= 1, with multiplicity; factorize(1) == []."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -109,7 +109,7 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> list:
             n //= p
     d = 5
     step = 2
-    while d <= trial_bound and d * d <= n:
+    while d <= _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             factors.append(d)
             n //= d

@@ -193,6 +193,13 @@ def test_load_rejects_malformed_files(tmp_path):
             load_certificate(_write(tmp_path, payload))
 
 
+def test_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(CertificateFormatError, match="not UTF-8"):
+        load_certificate(path)
+
+
 def test_from_dict_accepts_plain_dict():
     cert = certificate_from_dict(certificate_to_dict(fixture_b()))
     assert cert == fixture_b()

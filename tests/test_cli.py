@@ -1,11 +1,16 @@
+import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from opnbounds import enumeration
+import pytest
+
+from opnbounds import cli, enumeration, lemmas
 from opnbounds.certificates import certificate_from_dict, load_certificate, verify_certificate
-from opnbounds.cli import main
+from opnbounds.cli import build_parser, main
+from opnbounds.lemmas import Lemma1Violation, Lemma2Solution
 from opnbounds.model import Case, build_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "certificates"
@@ -67,6 +72,14 @@ def test_verify_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_undecodable_certificate_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run(capsys, "verify", "--system", "three_coprime", "--cert", str(path)) == (
+        2, "", "error: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "--system", "three_coprime",
                        "--cert", CERT_A, "--format", "json")
@@ -108,6 +121,15 @@ def test_optimize_json(capsys):
     assert payload["witness"]["Omega"] == "3"
     cert = certificate_from_dict(payload["certificate"])
     assert verify_certificate(build_system(Case.THREE_COPRIME), cert).passed
+
+
+def test_optimize_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "dual.json"
+    code, out, err = run(capsys, "optimize", "--system", "three_coprime",
+                         "--slope", "8/3", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and str(path) in err
+    assert err.count("\n") == 1
 
 
 def test_optimize_f3_min2_flag(capsys):
@@ -274,6 +296,16 @@ def test_frontier_certificates_frozen(capsys, tmp_path):
         assert written == want
 
 
+def test_frontier_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run(capsys, "frontier", "--system", "three_coprime",
+                         "--slopes", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 17] ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_frontier_empty_slopes(capsys):
     code, out, _ = run(capsys, "frontier", "--system", "three_coprime")
     assert code == 0
@@ -354,6 +386,18 @@ def test_classify_rejects_non_prime(capsys):
     code, _, err = run(capsys, "classify", "9")
     assert code == 2
     assert "error:" in err
+
+
+def test_classify_past_psi_13_exits_2_at_once(capsys, monkeypatch):
+    def no_work(n):
+        raise AssertionError("classify started on a p past its range")
+
+    monkeypatch.setattr(lemmas, "is_prime", no_work)
+    monkeypatch.setattr(lemmas, "factorize", no_work)
+    code, out, err = run(capsys, "classify", "84120263456641765763")
+    assert (code, out) == (2, "")
+    assert err == ("error: p^2+p+1 = 7076218724014820074141733840607200737933 is not "
+                   "below psi_13 = 3317044064679887385961981, the proven range of is_prime\n")
 
 
 def test_classify_json(capsys):
@@ -446,3 +490,208 @@ def test_module_entry_point():
         capture_output=True, text=True, cwd=str(FIXTURES.parent))
     assert proc.returncode == 0
     assert "omega_lower" in proc.stdout
+
+
+# exact stdout, stderr and exit code for each (command, format) pair
+FROZEN = {
+    "verify-text-fail": (
+        ["verify", "--system", "three_divides", "--cert", CERT_A], 1,
+        "verdict: fail\n"
+        "reason: system mismatch: certificate targets three_coprime, system is three_divides\n",
+        ""),
+    "verify-json-pass": (
+        ["verify", "--system", "three_coprime", "--cert", CERT_A, "--format", "json"], 0,
+        '{\n  "verdict": "pass",\n  "failure_reason": null,\n  "derived_slope": "8/3",\n'
+        '  "derived_constant": "-7/3",\n  "residuals": {\n    "e": "0",\n    "s": "0",\n'
+        '    "t": "0",\n    "s1": "0",\n    "s2": "0",\n    "s3": "0",\n    "s21": "0",\n'
+        '    "s22": "-2/9",\n    "s31": "0",\n    "s32": "0",\n    "f3": "-1",\n'
+        '    "f4": "0"\n  }\n}\n',
+        ""),
+    "verify-json-fail": (
+        ["verify", "--system", "three_divides", "--cert", CERT_A, "--format", "json"], 1,
+        '{\n  "verdict": "fail",\n  "failure_reason": "system mismatch: certificate targets '
+        'three_coprime, system is three_divides",\n  "derived_slope": null,\n'
+        '  "derived_constant": null,\n  "residuals": {}\n}\n',
+        ""),
+    "optimize-text": (
+        ["optimize", "--system", "three_coprime", "--slope", "8/3"], 0, "-7/3\n", ""),
+    "optimize-json": (
+        ["optimize", "--system", "three_coprime", "--slope", "2", "--format", "json"], 0,
+        '{\n  "slope": "2",\n  "constant": "-1",\n  "bound": "Ω ≥ 2ω - 1",\n'
+        '  "witness": {\n    "e": "1",\n    "s": "1/3",\n    "t": "0",\n    "s1": "0",\n'
+        '    "s2": "0",\n    "s3": "1/3",\n    "s21": "0",\n    "s22": "0",\n'
+        '    "s31": "0",\n    "s32": "1/3",\n    "f3": "0",\n    "f4": "0",\n'
+        '    "Omega": "5/3",\n    "omega": "4/3"\n  },\n  "certificate": {\n'
+        '    "system": "three_coprime",\n    "include_f3_min2": false,\n'
+        '    "multipliers": {\n      "special_exists": "1",\n      "omega_lower": "1",\n'
+        '      "t_f4": "1",\n      "omega_no3": "2",\n      "f3_zero": "1"\n    },\n'
+        '    "claimed_slope": "2",\n    "claimed_constant": "-1"\n  }\n}\n',
+        ""),
+    "optimize-json-unbounded": (
+        ["optimize", "--system", "three_coprime", "--slope", "3", "--format", "json"], 1,
+        "", "unbounded: slope 3 not supported by system\n"),
+    "lemmas-1-csv": (
+        ["lemmas", "--which", "1", "--max", "200", "--jobs", "1", "--format", "csv"], 0,
+        "a,b,p,bound\n", ""),
+    "lemmas-1-json": (
+        ["lemmas", "--which", "1", "--max", "200", "--jobs", "1", "--format", "json"], 0,
+        '{\n  "violations": []\n}\n', ""),
+    "lemmas-2-json": (
+        ["lemmas", "--which", "2", "--max", "100", "--jobs", "1", "--format", "json"], 0,
+        '{\n  "solutions": [\n    {\n      "p": 2,\n      "q": 4,\n      "r": 7,\n'
+        '      "p_is_odd_prime": false\n    },\n    {\n      "p": 9,\n      "q": 16,\n'
+        '      "r": 91,\n      "p_is_odd_prime": false\n    },\n    {\n      "p": 35,\n'
+        '      "q": 61,\n      "r": 1261,\n      "p_is_odd_prime": false\n    }\n  ]\n}\n',
+        ""),
+    "census-text": (
+        ["census", "--max", "20", "--jobs", "1"], 0,
+        "S1 residue 1: 0\nS1 residue 2: 2\nS2 residue 1: 3\nS2 residue 2: 1\n"
+        "S3plus residue 1: 0\nS3plus residue 2: 0\n",
+        ""),
+    "census-json": (
+        ["census", "--max", "20", "--jobs", "1", "--format", "json"], 0,
+        '{\n  "S1": {\n    "1": 0,\n    "2": 2\n  },\n  "S2": {\n    "1": 3,\n    "2": 1\n'
+        '  },\n  "S3plus": {\n    "1": 0,\n    "2": 0\n  }\n}\n',
+        ""),
+    "classify-json": (
+        ["classify", "11", "--format", "json"], 0,
+        '{\n  "p": 11,\n  "residue": 2,\n  "sigma": 133,\n  "factors": [\n    7,\n'
+        '    19\n  ],\n  "bucket": "S2"\n}\n',
+        ""),
+    "scan-text": (
+        ["scan", "--system", "three_coprime", "--slope", "8/3", "--box", "4", "--jobs", "1"],
+        0,
+        "minimum: -7/3\nwitness: e=1 s=1 t=0 s1=1 s2=0 s3=0 s21=0 s22=0 s31=0 s32=0 "
+        "f3=0 f4=0 Omega=3 omega=2\n",
+        ""),
+    "scan-json": (
+        ["scan", "--system", "three_coprime", "--slope", "8/3", "--box", "4", "--jobs", "1",
+         "--format", "json"], 0,
+        '{\n  "minimum": "-7/3",\n  "witness": {\n    "e": 1,\n    "s": 1,\n    "t": 0,\n'
+        '    "s1": 1,\n    "s2": 0,\n    "s3": 0,\n    "s21": 0,\n    "s22": 0,\n'
+        '    "s31": 0,\n    "s32": 0,\n    "f3": 0,\n    "f4": 0,\n    "Omega": 3,\n'
+        '    "omega": 2\n  }\n}\n',
+        ""),
+    "scan-json-infeasible": (
+        ["scan", "--system", "three_divides", "--f3-min2", "on", "--slope", "2", "--box", "1",
+         "--jobs", "1", "--format", "json"], 0,
+        '{\n  "minimum": null,\n  "witness": null\n}\n', ""),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_output_frozen(capsys, name):
+    argv, code, out, err = FROZEN[name]
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_optimize_out_frozen(capsys, tmp_path):
+    want = FRONTIER_CERTIFICATES[("three_divides", "slope_21_8.json")]
+    args = ["optimize", "--system", "three_divides", "--f3-min2", "on", "--slope", "21/8"]
+    _, plain_json, _ = run(capsys, *args, "--format", "json")
+    for fmt, out in (("text", "-39/8\n"), ("json", plain_json)):
+        path = tmp_path / f"{fmt}.json"
+        assert run(capsys, *args, "--format", fmt, "--out", str(path)) == (0, out, "")
+        assert path.read_bytes().decode() == want
+
+
+def test_lemma_rows_frozen(capsys, monkeypatch):
+    """The row layout of lemma 1 violations and odd-prime lemma 2
+    solutions, which no real scan produces."""
+    monkeypatch.setattr(cli, "lemma1_scan", lambda limit, jobs: [
+        Lemma1Violation(5, 11, 7, Fraction(17, 5)), Lemma1Violation(7, 13, 3, Fraction(7))])
+    base = ["lemmas", "--which", "1", "--max", "20"]
+    assert run(capsys, *base) == (
+        1, "2 violations\na=5 b=11 p=7 bound=17/5\na=7 b=13 p=3 bound=7\n", "")
+    assert run(capsys, *base, "--format", "csv") == (
+        1, "a,b,p,bound\n5,11,7,17/5\n7,13,3,7\n", "")
+    assert run(capsys, *base, "--format", "json") == (
+        1, '{\n  "violations": [\n    {\n      "a": 5,\n      "b": 11,\n      "p": 7,\n'
+           '      "bound": "17/5"\n    },\n    {\n      "a": 7,\n      "b": 13,\n'
+           '      "p": 3,\n      "bound": "7"\n    }\n  ]\n}\n', "")
+
+    monkeypatch.setattr(cli, "lemma2_scan", lambda limit, jobs: [
+        Lemma2Solution(2, 4, 7), Lemma2Solution(5, 9, 31)])
+    base = ["lemmas", "--which", "2", "--max", "20"]
+    assert run(capsys, *base) == (
+        1, "1 odd-prime p solutions\nincidental solutions: 2\np=2 q=4 r=7\np=5 q=9 r=31\n", "")
+    assert run(capsys, *base, "--format", "csv") == (
+        1, "p,q,r,p_is_odd_prime\n2,4,7,false\n5,9,31,true\n", "")
+    assert run(capsys, *base, "--format", "json") == (
+        1, '{\n  "solutions": [\n    {\n      "p": 2,\n      "q": 4,\n      "r": 7,\n'
+           '      "p_is_odd_prime": false\n    },\n    {\n      "p": 5,\n      "q": 9,\n'
+           '      "r": 31,\n      "p_is_odd_prime": true\n    }\n  ]\n}\n', "")
+
+
+_SYSTEM = ((["--system"], "system", None, ["three_coprime", "three_divides"], None, True,
+            "which case of the 3 | N split to build"),
+           (["--f3-min2"], "f3_min2", None, ["on", "off"], "off", False,
+            "include the extra constraint f3 >= 2 (three_divides only; default off)"))
+_JOBS = (["--jobs"], "jobs", "_positive_int", None, None, False,
+         "worker processes (default: all cores); results do not depend on this")
+_HELP = (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
+         "show this help message and exit")
+
+
+def _format(*choices):
+    return (["--format"], "format", None, list(choices), "text", False, None)
+
+
+# per subcommand, in order: help, then each argument as
+# (option strings, dest, type name, choices, default, required, help)
+PARSER_SHAPE = {
+    "verify": ("check a certificate file against a system", [
+        _HELP, *_SYSTEM,
+        (["--cert"], "cert", None, None, None, True, "certificate JSON path"),
+        _format("text", "json")]),
+    "optimize": ("best provable constant for a slope, with certificate", [
+        _HELP, *_SYSTEM,
+        (["--slope"], "slope", "_rational", None, None, True, None),
+        (["--out"], "out", None, None, None, False, "write the dual certificate here"),
+        _format("text", "json")]),
+    "frontier": ("best constants for several slopes; CSV slope,constant,certificate_path", [
+        _HELP, *_SYSTEM,
+        (["--slopes"], "slopes", None, None, "", False, "comma-separated slopes, e.g. 2,8/3"),
+        (["--out"], "out", None, None, None, False, "directory for the row certificates")]),
+    "lemmas": ("check a supporting lemma: 1 by a polynomial sieve over p^2+p+1, "
+               "2 by its Pell recurrence", [
+        _HELP,
+        (["--which"], "which", None, ["1", "2"], None, True, None),
+        (["--max"], "max", "_positive_int", None, None, True,
+         "scan bound (primes for 1, p for 2)"),
+        _JOBS, _format("text", "csv", "json")]),
+    "census": ("bucket x residue counts of odd primes above 3", [
+        _HELP,
+        (["--max"], "max", "_positive_int", None, None, True, None),
+        _JOBS, _format("text", "csv", "json")]),
+    "classify": ("bucket and residue of one odd prime above 3", [
+        _HELP,
+        ([], "p", "int", None, None, True, None),
+        _format("text", "json")]),
+    "scan": ("exact integer minimum of Omega - slope*omega over a box", [
+        _HELP, *_SYSTEM,
+        (["--slope"], "slope", "_rational", None, None, True, None),
+        (["--box"], "box", "_positive_int", None, None, True,
+         "free variables range over 0..box"),
+        _JOBS, _format("text", "json")]),
+    "describe": ("print the constraint table of a system", [_HELP, *_SYSTEM]),
+}
+
+
+def test_parser_frozen():
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "opnbounds", "Exact-arithmetic bounds on the prime factorization "
+                     "shape of odd perfect numbers")
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert commands.required
+    shape = {}
+    for choice in commands._choices_actions:
+        sub = commands.choices[choice.dest]
+        shape[choice.dest] = (choice.help, [
+            (a.option_strings, a.dest, getattr(a.type, "__name__", None), a.choices,
+             a.default, a.required, a.help) for a in sub._actions])
+    assert list(shape) == list(PARSER_SHAPE)
+    for name, want in PARSER_SHAPE.items():
+        assert shape[name] == want, name

@@ -11,7 +11,7 @@ from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
                               lemma2_violations, shared_primes,
                               sigma_prime_index)
-from opnbounds.primes import is_prime, sieve
+from opnbounds.primes import PSI_13, is_prime, sieve
 
 # counts pinned from an independent factoring library
 CENSUS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "census_reference.json"
@@ -50,6 +50,27 @@ def test_classify_rejects_bad_inputs():
     for bad in (2, 3, 9, 1, 0, -5, 221):
         with pytest.raises(ValueError):
             classify_prime(bad)
+
+
+# the largest p with p^2+p+1 below psi_13, and the largest prime up to it
+LARGEST_ACCEPTED = 1821275395067
+LARGEST_ACCEPTED_PRIME = 1821275395031
+
+
+def test_classify_bounded_by_psi_13(monkeypatch):
+    assert LARGEST_ACCEPTED ** 2 + LARGEST_ACCEPTED + 1 < PSI_13
+    info = classify_prime(LARGEST_ACCEPTED_PRIME)
+    assert info.factors == (2113, 163741, 9587255587220221)
+    with pytest.raises(ValueError, match="not a prime"):
+        classify_prime(LARGEST_ACCEPTED)
+
+    def no_primality(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(lemmas, "is_prime", no_primality)
+    for p in (LARGEST_ACCEPTED + 1, 84120263456641765763):
+        with pytest.raises(ValueError, match="not below psi_13"):
+            classify_prime(p)
 
 
 def test_s1_implies_residue_two():

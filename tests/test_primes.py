@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from opnbounds.primes import factorize, is_prime, sieve
+from opnbounds.primes import PSI_13, factorize, is_prime, sieve
 
 
 def _trial_primes(limit):
@@ -88,3 +88,9 @@ def test_is_prime_rejects_psi_12():
 
 def test_factorize_psi_12():
     assert factorize(PSI_12) == [399165290221, 798330580441]
+
+
+def test_psi_13_fools_is_prime():
+    # the proven range of is_prime ends at PSI_13, a composite it calls prime
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(PSI_13)
