@@ -12,13 +12,28 @@ integer key
 
 where extra is 1 for three_coprime and 2 for three_divides.
 
-The outer variables e, t, f4, f3, s21, s31 are walked with loop bounds that
-encode Eq. 5, 12 and 14 and the case rows, so only feasible values are
-visited. The inner block s1, s22, s32 is solved instead of walked. It enters
-the key only through s = s21 + s31 + S with S = s1 + s22 + s32, with weight
-c, and only Eq. 10, 11 and 13 and the box bound it. Those read the outer
-values only through (t, s21, s31, e + f4), and s1 = s22 = s32 = 0 always
-satisfies them. So for one outer point:
+Three free variables are walked: t, s21 and s31, beside the sum u = e + f4.
+f3, the split of u and the inner block s1, s22, s32 are solved:
+
+- f3 enters the key only as den*f3 with den > 0, and only Eq. 12
+  (f3 >= s21 + s31), the f3 >= 2 row and the box bound it; nothing else
+  reads it. So among points that agree on every other free variable the
+  least key, and with it the least (key, witness) pair, has the least
+  feasible f3 = max(s21 + s31, 2 under f3 >= 2, else 0). That f3 is in the
+  box exactly when s21 + s31 <= box and, under f3 >= 2, box >= 2; so s21
+  walks [0, box] and s31 walks [0, box - s21]. three_coprime fixes
+  f3 = s21 = s31 = 0.
+- e and f4 enter the key, Eq. 13 and the inner block only through
+  u = e + f4; only e >= 1 (Eq. 5), f4 >= 4t (Eq. 14) and the box split
+  them. So all splits of one u give the same key, and e, which comes first
+  in the witness order, picks the least witness: e = max(1, u - box) and
+  f4 = u - e. Some split is feasible exactly when t <= box // 4 and
+  4t + 1 <= u <= 2*box.
+
+The inner block enters the key only through s = s21 + s31 + S with
+S = s1 + s22 + s32, with weight c, and only Eq. 10, 11 and 13 and the box
+bound it. Those read the outer values only through (t, s21, s31, u), and
+s1 = s22 = s32 = 0 always satisfies them. So for one outer point:
 
 - c >= 0 (slope <= 2): S = 0 gives the least key (c > 0) or ties every
   other point (c = 0).
@@ -36,8 +51,8 @@ at s32 = 0: no larger s32 is feasible, and a smaller one would make S
 smaller. Each outer point thus yields its least (key, witness) pair, and
 the least pair over all outer points is the least over the whole box, which
 is what visiting every point returns. tests/scan_bruteforce.py keeps that
-visit as the test oracle. The c < 0 block depends on (t, s21, s31, e + f4)
-alone and is memoised per chunk.
+visit as the test oracle. Each outer point solves its block once, since
+(t, s21, s31, u) is the walk itself.
 """
 from __future__ import annotations
 
@@ -48,10 +63,12 @@ from typing import Mapping
 from .model import Case, ConstraintSystem, Relation, Var
 from .workers import effective_jobs, run_chunks
 
-# Largest box integer_scan accepts per case. The outer walk grows like box^5
-# for three_divides and box^3 for three_coprime; at these caps a scan takes
-# about 8 s (2-core host, CPython 3.11.7) at the slowest slopes, past 2.
-MAX_BOX = {Case.THREE_COPRIME: 320, Case.THREE_DIVIDES: 26}
+# Largest box integer_scan accepts per case. The walk visits about box^4
+# outer points for three_divides and box^2 for three_coprime, and past slope
+# 2 each solves its block in O(box), so the time grows like box^5 and box^3;
+# at these caps a scan takes about 8 s (2-core host, CPython 3.11.7) at the
+# slowest slopes, past 2.
+MAX_BOX = {Case.THREE_COPRIME: 570, Case.THREE_DIVIDES: 34}
 
 
 def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
@@ -76,14 +93,14 @@ class ScanResult:
     witness: dict | None         # Var -> int, lexicographically least minimizer
 
 
-def _largest_block(box, t, s21, s31, rest):
+def _largest_block(box, t, s21, s31, u):
     """(s1, s22, s32) with the largest s1 + s22 + s32 under Eq. 10, 11 and 13
-    and the box, then the least s1, then the least s22; rest is e + f4.
+    and the box, then the least s1, then the least s22; u is e + f4.
 
-    s32 = min(box, budget // 3) where budget = rest + s21 - s1 - 2*s22 is the
+    s32 = min(box, budget // 3) where budget = u + s21 - s1 - 2*s22 is the
     Eq. 13 slack at s32 = 0. One more s22 lowers budget // 3 by at most one,
     so for each s1 the sum is largest at the top feasible s22."""
-    room = rest + s21
+    room = u + s21
 
     def size(s1, s22):
         return s1 + s22 + min(box, (room - s1 - 2 * s22) // 3)
@@ -100,46 +117,30 @@ def _largest_block(box, t, s21, s31, rest):
 
 
 def _scan_chunk(args):
-    no3, f3_min2, num, den, box, e_values = args
+    no3, f3_min2, num, den, box, pairs = args
     omega_extra = 1 if no3 else 2
-    if no3:
-        f3_range = (0,)
-    elif f3_min2:
-        f3_range = range(2, box + 1)
-    else:
-        f3_range = range(0, box + 1)
+    f3_least = 2 if f3_min2 else 0
+    if f3_least > box:
+        return None
+    s_top = 0 if no3 else box     # three_coprime fixes f3 = s21 = s31 = 0
     fill = 2 * den - num < 0      # the key falls as s grows
-    blocks = {}
     best = None
-    for e in e_values:
-        for t in range(0, box // 4 + 1):              # Eq. 14 with f4 <= box
-            for f4 in range(4 * t, box + 1):
-                for f3 in f3_range:
-                    s21_top = 0 if no3 else min(box, f3)          # Eq. 12
-                    for s21 in range(0, s21_top + 1):
-                        s31_top = 0 if no3 else min(box, f3 - s21)
-                        for s31 in range(0, s31_top + 1):
-                            s1 = s22 = s32 = 0
-                            if fill:
-                                block_key = (t, s21, s31, e + f4)
-                                block = blocks.get(block_key)
-                                if block is None:
-                                    block = blocks[block_key] = _largest_block(box, *block_key)
-                                s1, s22, s32 = block
-                            s2 = s21 + s22
-                            s3 = s31 + s32
-                            s = s1 + s2 + s3
-                            omega = s + t + omega_extra
-                            big = e + f3 + 2 * s + f4
-                            key = den * big - num * omega
-                            if best is None or key < best[0]:
-                                best = (key, (e, s, t, s1, s2, s3, s21,
-                                              s22, s31, s32, f3, f4, big, omega))
-                            elif key == best[0]:
-                                witness = (e, s, t, s1, s2, s3, s21,
-                                           s22, s31, s32, f3, f4, big, omega)
-                                if witness < best[1]:
-                                    best = (key, witness)
+    for t, u in pairs:
+        e = max(1, u - box)       # the least e of the split u = e + f4
+        f4 = u - e
+        for s21 in range(0, s_top + 1):
+            for s31 in range(0, s_top - s21 + 1):
+                f3 = max(s21 + s31, f3_least)                     # Eq. 12
+                s1, s22, s32 = _largest_block(box, t, s21, s31, u) if fill else (0, 0, 0)
+                s2 = s21 + s22
+                s3 = s31 + s32
+                s = s1 + s2 + s3
+                omega = s + t + omega_extra
+                big = e + f3 + 2 * s + f4
+                found = (den * big - num * omega,
+                         (e, s, t, s1, s2, s3, s21, s22, s31, s32, f3, f4, big, omega))
+                if best is None or found < best:
+                    best = found
     return best
 
 
@@ -157,10 +158,11 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
                          f"scan box for {system.case.value}")
     slope = Fraction(slope)
     no3 = system.case is Case.THREE_COPRIME
-    e_values = list(range(1, box_max + 1))  # Eq. 5 rules out e = 0
-    parts = max(1, min(effective_jobs(jobs), len(e_values))) if e_values else 1
+    pairs = [(t, u) for t in range(0, box_max // 4 + 1)       # Eq. 14 with f4 <= box
+             for u in range(4 * t + 1, 2 * box_max + 1)]      # Eq. 5 and 14
+    parts = effective_jobs(jobs, len(pairs))
     chunks = [(no3, system.include_f3_min2, slope.numerator, slope.denominator,
-               box_max, e_values[k::parts]) for k in range(parts)]
+               box_max, pairs[k::parts]) for k in range(parts)]
     best = None
     for found in run_chunks(_scan_chunk, chunks, jobs):
         if found is not None and (best is None or found < best):

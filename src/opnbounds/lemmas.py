@@ -45,6 +45,15 @@ class PrimeClass:
         return BUCKETS[min(self.factor_count, 3) - 1]
 
 
+def _sigma(p: int) -> int:
+    """p^2 + p + 1, which must be below PSI_13, where is_prime is proven."""
+    sigma = p * p + p + 1
+    if sigma >= PSI_13:
+        raise ValueError(f"p^2+p+1 = {sigma} is not below psi_13 = {PSI_13}, "
+                         f"the proven range of is_prime")
+    return sigma
+
+
 def classify_prime(p: int) -> PrimeClass:
     """Classify an odd prime p > 3 by the factorization of p^2 + p + 1.
 
@@ -53,10 +62,7 @@ def classify_prime(p: int) -> PrimeClass:
     """
     if p <= 3:
         raise ValueError(f"classification needs an odd prime above 3, got {p}")
-    sigma = p * p + p + 1
-    if sigma >= PSI_13:
-        raise ValueError(f"p^2+p+1 = {sigma} is not below psi_13 = {PSI_13}, "
-                         f"the proven range of is_prime")
+    sigma = _sigma(p)
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     return PrimeClass(p, p % 3, sigma, tuple(factorize(sigma)))
@@ -74,13 +80,15 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
     """Primes dividing both a^2+a+1 and b^2+b+1 for distinct odd primes
     a, b > 3, plus the applicable bound: any shared prime is at most
     (a+b+1)/5 when a = b = 2 (mod 3) and (a+b+1)/3 when a = b = 1 (mod 3);
-    mixed residues carry no bound."""
+    mixed residues carry no bound. Both a^2+a+1 and b^2+b+1 must be below
+    PSI_13, as for classify_prime."""
     if a == b:
         raise ValueError("the pair must be distinct")
+    sigma_a, sigma_b = _sigma(a), _sigma(b)
     for p in (a, b):
         if p <= 3 or not is_prime(p):
             raise ValueError(f"needs odd primes above 3, got {p}")
-    g = gcd(a * a + a + 1, b * b + b + 1)
+    g = gcd(sigma_a, sigma_b)
     common = tuple(sorted(set(factorize(g)))) if g > 1 else ()
     if a % 3 == b % 3:
         bound = Fraction(a + b + 1, 5 if a % 3 == 2 else 3)
@@ -104,7 +112,7 @@ def _segments(limit: int, jobs: int | None) -> list:
                 a += 1
             qs.append(q)
             ws.append(w)
-    parts = max(min(effective_jobs(jobs), total), -(-total // _SEGMENT))
+    parts = max(effective_jobs(jobs, total), -(-total // _SEGMENT))
     edges = [total * k // parts for k in range(parts + 1)]
     return [(5 + 2 * a, b - a, qs, ws) for a, b in zip(edges, edges[1:])]
 
@@ -233,6 +241,15 @@ def _lemma2_chunk(max_p: int) -> list:
     and k >= 0; for k < 0 the conjugate is negative and larger, so Y < 0.
     (2+sqrt3)^2 = 4(2+sqrt3) - 1, so Y and Z follow x' = 4x - x_prev, and p
     and q follow x' = 4x - x_prev + 1 from p = 0, 2 and q = 1, 4 (k = 0, 1).
+
+    No solution has p an odd prime, at any size, so the verdict does not
+    rest on is_prime past PSI_13. Z is odd; with m = (Z-1)/2 the two
+    equations give p^2+p+1 = (3Z^2+1)/4 = 3m^2+3m+1, that is
+    p(p+1) = 3m(m+1), and m >= 1 for p > 0. A prime p divides 3, m or m+1.
+    p = 3 would need m(m+1) = 4. Otherwise p <= m+1, so
+    3m(m+1) = p(p+1) <= (m+1)(m+2), which gives m <= 1 and p = 2. Every
+    solution with p > 2 is composite: gcd(p, m) or gcd(p, m+1) is a proper
+    divisor of it.
     """
     out = []
     p0, p, q0, q = 0, 2, 1, 4

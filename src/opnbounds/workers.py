@@ -10,12 +10,14 @@ import multiprocessing
 import os
 
 
-def effective_jobs(jobs: int | None) -> int:
+def effective_jobs(jobs: int | None, work: int) -> int:
+    """The worker count for work items: jobs (all cores when None), clamped
+    to [1, work]."""
     if jobs is None:
-        return os.cpu_count() or 1
-    if jobs < 1:
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return jobs
+    return max(1, min(jobs, work))
 
 
 def run_chunks(fn, chunks: list, jobs: int | None) -> list:
@@ -24,8 +26,8 @@ def run_chunks(fn, chunks: list, jobs: int | None) -> list:
     fn must be a picklable module-level function and pure; results come back
     in chunk order regardless of completion order.
     """
-    jobs = min(effective_jobs(jobs), len(chunks)) if chunks else 1
-    if jobs <= 1:
+    jobs = effective_jobs(jobs, len(chunks))
+    if jobs == 1:
         return [fn(chunk) for chunk in chunks]
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, chunks)

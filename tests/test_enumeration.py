@@ -230,11 +230,13 @@ def _no_scan(*args, **kwargs):
 
 
 def test_box_caps(monkeypatch):
-    # past these the walk (box^3 for three_coprime, box^5 for three_divides)
-    # takes more than about 10 s; the benchmark's boxes 12, 40 and 5, 9 fit
-    assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 320, Case.THREE_DIVIDES: 26}
+    # at these caps a scan takes about 8 s past slope 2, and its time grows
+    # like box^3 for three_coprime and box^5 for three_divides (box^2 and
+    # box^4 outer points, each solving its block in O(box)); the benchmark's
+    # boxes 12, 40 and 5, 9 fit
+    assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 570, Case.THREE_DIVIDES: 34}
     monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
-    for system, cap in ((NO3, 320), (WITH3, 26), (WITH3_SHARP, 26)):
+    for system, cap in ((NO3, 570), (WITH3, 34), (WITH3_SHARP, 34)):
         with pytest.raises(ValueError, match=f"^box {cap + 1} is larger than {cap}, "
                            f"the largest scan box for {system.case.value}$"):
             integer_scan(system, Fraction(21, 8), cap + 1)
@@ -246,6 +248,14 @@ def test_jobs_do_not_change_results():
     lone = integer_scan(NO3, Fraction(8, 3), 3, jobs=1)
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=3) == lone
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=None) == lone
+    # the chunks stride over the (t, e + f4) pairs; box 0 has none, box 1
+    # has fewer than three
+    for system in (WITH3, WITH3_SHARP):
+        for box in (0, 1, 2, 5):
+            lone = integer_scan(system, Fraction(21, 8), box, jobs=1)
+            for jobs in (2, 3, None):
+                assert integer_scan(system, Fraction(21, 8), box, jobs=jobs) == lone, \
+                    (system.include_f3_min2, box, jobs)
 
 
 def test_tie_break_is_lexicographic():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,23 @@ def test_shared_primes_rejects():
     with pytest.raises(ValueError):
         shared_primes(7, 15)
 
+
+
+def test_shared_primes_bounded_by_psi_13(monkeypatch):
+    # 2113 divides both sigma values; the residues differ (1 and 2)
+    assert shared_primes(2551, LARGEST_ACCEPTED_PRIME) == \
+        lemmas.SharedPrimes(2551, LARGEST_ACCEPTED_PRIME, (2113,), None)
+    with pytest.raises(ValueError, match="needs odd primes"):
+        shared_primes(7, LARGEST_ACCEPTED)
+
+    def no_primality(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(lemmas, "is_prime", no_primality)
+    for pair in ((7, LARGEST_ACCEPTED + 1), (LARGEST_ACCEPTED + 1, 7),
+                 (7, 84120263456641765763)):
+        with pytest.raises(ValueError, match="not below psi_13"):
+            shared_primes(*pair)
 
 def test_lemma1_scan_clean_and_worker_independent():
     serial = lemma1_scan(200, jobs=1)
@@ -241,3 +259,18 @@ def test_pell_walk_to_1e60():
     for s in solutions:
         assert s.p * s.p + s.p + 1 == s.r
         assert s.q * s.q + s.q + 1 == 3 * s.r
+
+
+def test_pell_p_above_2_has_a_proper_divisor():
+    # the argument in _lemma2_chunk's docstring, checked without is_prime:
+    # p(p+1) = 3m(m+1) with 3Z = 2q+1, m = (Z-1)/2, and gcd(p, m) or
+    # gcd(p, m+1) splits p
+    solutions = [s for s in lemma2_scan(10**60) if s.p > 2]
+    assert len(solutions) == 104
+    assert sum(s.p >= PSI_13 for s in solutions) == 62
+    for s in solutions:
+        z, rem = divmod(2 * s.q + 1, 3)
+        assert rem == 0 and z % 2 == 1
+        m = (z - 1) // 2
+        assert s.p * (s.p + 1) == 3 * m * (m + 1)
+        assert any(1 < gcd(s.p, k) < s.p for k in (m, m + 1)), s.p
