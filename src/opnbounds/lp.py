@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from . import simplex
 from .certificates import Certificate, verify_certificate
@@ -78,7 +79,10 @@ def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
 
 def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     """Largest b with Omega >= slope*omega + b across the system, plus the
-    dual certificate (re-verified) and an attaining witness."""
+    dual certificate (re-verified) and an attaining witness. The slope must
+    be a numbers.Rational: a float would be solved as its binary value."""
+    if not isinstance(slope, Rational):
+        raise TypeError(f"slope {slope!r} is not a rational number")
     slope = Fraction(slope)
     objective = LinExpr({Var.Omega: 1, Var.omega: -slope})
     solution = minimize(system, objective)

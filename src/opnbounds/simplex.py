@@ -1,13 +1,45 @@
-"""Exact two-phase simplex over Fraction arithmetic.
+"""Exact two-phase simplex on an integer tableau.
 
 Dense tableau, Bland's smallest-index rule for both entering and leaving
 choices (no cycling, fully deterministic pivot sequence), no floating point
 anywhere. Sized for small systems, tens of rows and columns.
 
 Problem form: minimize c . x subject to rows[i] . x >= rhs[i] or == rhs[i],
-x >= 0. The result carries one dual multiplier per input row in the original
-row orientation: nonnegative on inequalities, signed on equalities, with
-sum(y_i * rhs_i) equal to the optimal objective (checked exactly).
+x >= 0. Every coefficient, right-hand side and cost must be a
+numbers.Rational (an int or a Fraction); anything else, a float in
+particular, raises TypeError naming it. The result carries one dual
+multiplier per input row in the original row orientation: nonnegative on
+inequalities, signed on equalities, with sum(y_i * rhs_i) equal to the
+optimal objective (checked exactly).
+
+The tableau holds Python ints over one positive common denominator D, and
+pivots fraction-free (Edmonds 1967, Bareiss 1968):
+- Input row i and its rhs are multiplied by s_i, the lcm of their
+  denominators. Its surplus entry stays -1 and its artificial entry +1, so
+  they stand for s_i times the input row's surplus and artificial, the
+  starting basis is the identity and D = 1. Phase 1 gives artificial i the
+  cost M/s_i, M the lcm of those s_i, so it minimises M times the sum of
+  the input rows' artificials.
+- The tableau is T = D * B^-1 [A | b], where A is the integer matrix above,
+  b its rhs and B its basic columns. A pivot on (r, c) with p = T[r][c]
+  keeps row r and replaces every other row i by
+  (p*T[i][j] - T[i][c]*T[r][j]) / D; then D = p, after row r is negated
+  when p < 0 (the artificial drive-out may pivot on a negative entry).
+- Every division is exact. Swapping column c into the basis multiplies
+  det B by (B^-1 a_c)[r] = p/D, so by induction from det I = 1, D = |det B|
+  after each pivot. Then D * B^-1 = +-adj(B), an integer matrix by Cramer's
+  rule, and the new rows are D' * B'^-1 [A | b], so they are integers.
+- The objective row holds L*D times the reduced costs, L the lcm of the
+  cost denominators; it is L*c*D - (L*c_B) * T, integral for the same
+  reason, and takes the same update.
+- The pivots are the Fraction tableau's. Scaling a row, or a column by a
+  positive factor, keeps the sign of every reduced cost and the order of
+  every ratio b_i / a_i, ties included; the ratio test compares
+  b_i * a_k with b_k * a_i, both a positive.
+- Results become Fractions once, at the end: x_j = b_i / D where column j is
+  basic in row i, and the dual of input row i is s_i times the reduced cost
+  of its surplus (inequality) or artificial (equality) column, z / (L*D).
+  That holds for every input row, also when phase 1 dropped a redundant one.
 
 The two phases are separate calls. feasible() runs phase 1, which reads no
 objective, and returns the feasible tableau; solve() runs phase 2 on a copy
@@ -23,9 +55,10 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # run() gives up after this many pivots per row and column of the tableau
 _PIVOTS_PER_SIZE = 2000
 
@@ -47,11 +80,22 @@ class SimplexResult:
     duals: list | None = None       # per input row, original orientation
 
 
+def _check_rational(values, name) -> None:
+    for k, v in enumerate(values):
+        if not isinstance(v, Rational):
+            raise TypeError(f"{name}[{k}] is {v!r}, not a rational number")
+
+
+def _scaled(values):
+    """The lcm of the values' denominators, and the values times it as ints."""
+    unit = lcm(*(v.denominator for v in values))
+    return unit, [v.numerator * (unit // v.denominator) for v in values]
+
+
 class _Tableau:
     def __init__(self, rows, relations, rhs, n):
         m = len(rows)
         self.n = n
-        self.relations = list(relations)
         # column layout: structural 0..n-1, then one surplus per GE row,
         # then artificials; Bland therefore prefers structural columns in
         # their declaration order
@@ -62,13 +106,15 @@ class _Tableau:
                 self.surplus_col[i] = col
                 col += 1
         self.sigma = [1] * m        # row flips applied to make rhs nonnegative
+        self.scale = [1] * m        # s_i: input row i times s_i is integral
         body = []
         b = []
         for i in range(m):
-            row = [Fraction(v) for v in rows[i]] + [_ZERO] * (col - n)
+            self.scale[i], ints = _scaled(list(rows[i]) + [rhs[i]])
+            bi = ints.pop()
+            row = ints + [0] * (col - n)
             if i in self.surplus_col:
-                row[self.surplus_col[i]] = -_ONE
-            bi = Fraction(rhs[i])
+                row[self.surplus_col[i]] = -1
             if bi < 0:
                 row = [-v for v in row]
                 bi = -bi
@@ -88,13 +134,13 @@ class _Tableau:
                 col += 1
         self.total = col
         for i in range(m):
-            body[i].extend([_ZERO] * (col - len(body[i])))
+            body[i].extend([0] * (col - len(body[i])))
             if i in self.art_col:
-                body[i][self.art_col[i]] = _ONE
+                body[i][self.art_col[i]] = 1
         self.rows = body
         self.b = b
+        self.d = 1                  # the common denominator D
         self.basis = basis
-        self.orig = list(range(m))  # original row index per live tableau row
         self.first_art = min(self.art_col.values()) if self.art_col else col
 
     def copy(self) -> _Tableau:
@@ -103,38 +149,45 @@ class _Tableau:
         twin.rows = [row[:] for row in self.rows]
         twin.b = self.b[:]
         twin.basis = self.basis[:]
-        twin.orig = self.orig[:]
         return twin
 
     def pivot(self, r, c, z, zrhs):
-        p = self.rows[r][c]
-        row = self.rows[r]
-        if p != 1:
-            inv = _ONE / p
-            self.rows[r] = row = [v * inv for v in row]
-            self.b[r] *= inv
-        br = self.b[r]
-        for i in range(len(self.rows)):
+        """Fraction-free pivot on (r, c), updating the objective row z in
+        place; returns the objective's new rhs."""
+        rows, b, d = self.rows, self.b, self.d
+        prow, br = rows[r], b[r]
+        p = prow[c]
+        if p < 0:  # negating row r first keeps D positive
+            prow = rows[r] = [-v for v in prow]
+            br = b[r] = -br
+            p = -p
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = self.rows[i][c]
+            f = row[c]
             if f:
-                other = self.rows[i]
-                self.rows[i] = [ov - f * rv for ov, rv in zip(other, row)]
-                self.b[i] -= f * br
+                rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+                b[i] = (p * b[i] - f * br) // d
+            elif p != d:
+                rows[i] = [p * v // d for v in row]
+                b[i] = p * b[i] // d
         f = z[c]
         if f:
-            for j in range(self.total):
-                z[j] -= f * row[j]
-            zrhs -= f * br
+            z[:] = [(p * v - f * w) // d for v, w in zip(z, prow)]
+            zrhs = (p * zrhs - f * br) // d
+        elif p != d:
+            z[:] = [p * v // d for v in z]
+            zrhs = p * zrhs // d
+        self.d = p
         self.basis[r] = c
         return zrhs
 
     def run(self, z, zrhs, entering_limit):
         """Bland iterations until optimal or unbounded. entering_limit bounds
         the candidate columns (artificials are barred in phase 2)."""
+        rows, b, basis = self.rows, self.b, self.basis
         guard = 0
-        limit = _PIVOTS_PER_SIZE * (len(self.rows) + self.total + 1)
+        limit = _PIVOTS_PER_SIZE * (len(rows) + self.total + 1)
         while True:
             guard += 1
             if guard > limit:  # Bland's rule makes this unreachable
@@ -146,16 +199,18 @@ class _Tableau:
                     break
             if enter < 0:
                 return "optimal", zrhs
+            # least ratio b_i / a_i over a_i > 0, ties to the least basic column
             leave = -1
-            best_ratio = None
-            best_var = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
-                if a > 0:
-                    ratio = self.b[i] / a
-                    if (leave < 0 or ratio < best_ratio
-                            or (ratio == best_ratio and self.basis[i] < best_var)):
-                        leave, best_ratio, best_var = i, ratio, self.basis[i]
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                if leave >= 0:
+                    # b_i / a against b_leave / a_leave, both a positive
+                    diff = b[i] * rows[leave][enter] - b[leave] * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
             if leave < 0:
                 return "unbounded", zrhs
             zrhs = self.pivot(leave, enter, z, zrhs)
@@ -165,24 +220,25 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
     """Phase 1: a feasible tableau for the rows, or None when they have no
     nonnegative solution. It depends on no objective, so one result serves
     any number of solve calls over the same rows."""
-    m = len(rows)
+    for i, row in enumerate(rows):
+        _check_rational(row, f"rows[{i}]")
+    _check_rational(rhs, "rhs")
     tb = _Tableau(rows, relations, rhs, len(rows[0]) if rows else 0)
     if tb.art_col:
-        # minimize the artificial sum
-        z = [_ZERO] * tb.total
-        for col in tb.art_col.values():
-            z[col] = _ONE
-        zrhs = _ZERO
-        for i in range(m):
-            if tb.basis[i] in tb.art_col.values():
-                row = tb.rows[i]
-                for j in range(tb.total):
-                    z[j] -= row[j]
-                zrhs -= tb.b[i]
+        # minimize the artificial sum; artificial i stands for s_i times the
+        # input row's, so it costs unit / s_i (unit is the docstring's M)
+        unit = lcm(*(tb.scale[i] for i in tb.art_col))
+        z = [0] * tb.total
+        zrhs = 0
+        for i, col in tb.art_col.items():  # each is basic in its own row
+            w = unit // tb.scale[i]
+            z[col] += w
+            z = [zj - w * v for zj, v in zip(z, tb.rows[i])]
+            zrhs -= w * tb.b[i]
         state, zrhs = tb.run(z, zrhs, tb.total)
         if state != "optimal":
             raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
-        if -zrhs != 0:
+        if zrhs != 0:
             return None
         _drive_out_artificials(tb, z)
     return tb
@@ -192,6 +248,8 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
     """Two-phase exact simplex; see the module docstring for the problem form.
     start, when given, is feasible(rows, relations, rhs) for these same rows:
     phase 2 then runs on a copy of it and start itself is left unchanged."""
+    _check_rational(objective, "objective")
+    _check_rational(rhs, "rhs")
     m = len(rows)
     n = len(objective)
     if start is None:
@@ -201,40 +259,43 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
     if start.n != n:
         raise ValueError(f"objective has {n} coefficients, the rows {start.n} columns")
     tb = start.copy()
-    c = [Fraction(v) for v in objective]
+    unit, c = _scaled(objective)
 
-    # phase 2: the real objective over the feasible tableau
-    z = list(c) + [_ZERO] * (tb.total - n)
-    zrhs = _ZERO
-    for i in range(len(tb.rows)):
-        cb = c[tb.basis[i]] if tb.basis[i] < n else _ZERO
+    # phase 2: the real objective over the feasible tableau, as unit*D times
+    # the reduced costs
+    z = [tb.d * v for v in c] + [0] * (tb.total - n)
+    zrhs = 0
+    for i, row in enumerate(tb.rows):
+        cb = c[tb.basis[i]] if tb.basis[i] < n else 0
         if cb:
-            row = tb.rows[i]
-            for j in range(tb.total):
-                z[j] -= cb * row[j]
+            z = [zj - cb * v for zj, v in zip(z, row)]
             zrhs -= cb * tb.b[i]
     state, zrhs = tb.run(z, zrhs, tb.first_art)
     if state == "unbounded":
         return SimplexResult(Status.UNBOUNDED)
 
+    # back to Fractions; zeros add nothing to either side of the duality check
     x = [_ZERO] * n
+    value = _ZERO
     for i, col in enumerate(tb.basis):
-        if col < n:
-            x[col] = tb.b[i]
-    value = sum((cj * xj for cj, xj in zip(c, x)), _ZERO)
+        if col < n and tb.b[i]:
+            x[col] = Fraction(tb.b[i], tb.d)
+            value += objective[col] * x[col]
 
     duals = [_ZERO] * m
-    live = set(tb.orig)
+    paid = _ZERO
+    per_dual = unit * tb.d
     for i in range(m):
-        if i not in live:
-            continue  # row found redundant in phase 1; multiplier stays 0
         if relations[i] == GE:
-            duals[i] = z[tb.surplus_col[i]]
-            if duals[i] < 0:
-                raise RuntimeError(f"dual of inequality row {i} is negative: {duals[i]}")
+            reduced = z[tb.surplus_col[i]]
+            if reduced < 0:
+                raise RuntimeError(f"dual of inequality row {i} is negative: "
+                                   f"{Fraction(tb.scale[i] * reduced, per_dual)}")
         else:
-            duals[i] = -tb.sigma[i] * z[tb.art_col[i]]
-    paid = sum((duals[i] * Fraction(rhs[i]) for i in range(m)), _ZERO)
+            reduced = -tb.sigma[i] * z[tb.art_col[i]]
+        if reduced:
+            duals[i] = Fraction(tb.scale[i] * reduced, per_dual)
+            paid += duals[i] * rhs[i]
     if paid != value:
         raise RuntimeError(f"strong duality fails: dual value {paid}, primal value {value}")
     return SimplexResult(Status.OPTIMAL, value, x, duals)
@@ -242,7 +303,11 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
 
 def _drive_out_artificials(tb: _Tableau, z) -> None:
     """After a zero-value phase 1, pivot basic artificials out (or drop the
-    row as redundant when its structural part vanished)."""
+    row as redundant when its structural part vanished). A dropped row is 0
+    in every column a later pivot can enter, so the kept rows and the
+    objective row stay exactly what they would be with it. Its basic
+    artificial, whichever input row that belongs to, keeps reduced cost 0,
+    so solve() reads a dual of 0 for that input row."""
     art_cols = set(tb.art_col.values())
     r = 0
     while r < len(tb.rows):
@@ -255,11 +320,10 @@ def _drive_out_artificials(tb: _Tableau, z) -> None:
             if pivot_col >= 0:
                 # rhs of a basic-artificial row is 0 here, so feasibility
                 # survives pivoting on either sign
-                tb.pivot(r, pivot_col, z, _ZERO)
+                tb.pivot(r, pivot_col, z, 0)
             else:
                 del tb.rows[r]
                 del tb.b[r]
                 del tb.basis[r]
-                del tb.orig[r]
                 continue
         r += 1

@@ -11,6 +11,8 @@ from opnbounds.lp import UnboundedSlopeError, best_constant, frontier, minimize
 from opnbounds.model import Case, Relation, Var, build_system
 from opnbounds.simplex import Status
 
+import simplex_fraction_oracle as oracle
+
 NO3 = build_system(Case.THREE_COPRIME)
 WITH3 = build_system(Case.THREE_DIVIDES)
 WITH3_SHARP = build_system(Case.THREE_DIVIDES, True)
@@ -195,6 +197,36 @@ def test_shared_phase_one_matches_cold_solves(system):
         assert bound.witness == {v: cold.x[v.value] for v in Var}, slope
         assert bound.certificate.multipliers == {
             c.name: y for c, y in zip(system.constraints, cold.duals) if y}, slope
+
+
+@pytest.mark.parametrize("system", [NO3, WITH3, WITH3_SHARP],
+                         ids=["three_coprime", "three_divides", "f3_min2"])
+def test_sweep_matches_fraction_oracle(system):
+    """Constants, witnesses and certificate multipliers over the sweep are
+    those of the Fraction simplex the integer tableau replaced."""
+    rows, relations, rhs, _ = lp._standard_form(system)
+    start = oracle.feasible(rows, relations, rhs)
+    for slope in SWEEP:
+        cost = [LinExpr({Var.Omega: 1, Var.omega: -slope}).coeff(v) for v in Var]
+        want = oracle.solve(rows, relations, rhs, cost, start=start)
+        if want.status is Status.UNBOUNDED:
+            with pytest.raises(UnboundedSlopeError):
+                best_constant(system, slope)
+            continue
+        bound = best_constant(system, slope)
+        assert bound.constant == want.value, slope
+        assert bound.witness == {v: want.x[v.value] for v in Var}, slope
+        assert bound.certificate.multipliers == {
+            c.name: y for c, y in zip(system.constraints, want.duals) if y}, slope
+
+
+def test_float_slope_raises_type_error():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=r"slope 0.1 is not a rational number"):
+        best_constant(WITH3, 0.1)
+    with pytest.raises(TypeError, match="slope '1/10'"):
+        best_constant(WITH3, "1/10")
+    assert best_constant(WITH3, 2).constant == best_constant(WITH3, Fraction(2)).constant
 
 
 def test_frontier_runs_phase_one_once_per_system(monkeypatch):

@@ -1,11 +1,17 @@
 import copy
 import random
+from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opnbounds import simplex
 from opnbounds.simplex import EQ, GE, Status, feasible, solve
 
+import simplex_fraction_oracle as oracle
 from lp_bruteforce import brute_force_lp
 
 
@@ -39,18 +45,19 @@ def test_unbounded():
     assert result.status is Status.UNBOUNDED
 
 
+# Beale's classic cycling example, stated as <= and flipped to >=
+BEALE_ROWS = [[-v for v in row] for row in (
+    [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+    [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+    [0, 0, 1, 0],
+)]
+BEALE_RHS = [0, 0, -1]
+BEALE_OBJECTIVE = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
+
+
 def test_degenerate_vertex_terminates():
-    # Beale's classic cycling example; Bland's rule must still finish
-    le_rows = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-        [0, 0, 1, 0],
-    ]
-    # stated as <=, flip to >=
-    rows = [[-v for v in row] for row in le_rows]
-    rhs = [0, 0, -1]
-    objective = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
-    result = solve(rows, [GE, GE, GE], rhs, objective)
+    # Bland's rule must still finish
+    result = solve(BEALE_ROWS, [GE, GE, GE], BEALE_RHS, BEALE_OBJECTIVE)
     assert result.status is Status.OPTIMAL
     assert result.value == Fraction(-1, 20)
 
@@ -139,3 +146,171 @@ def test_start_must_match_the_objective_length():
     start = feasible([[1, 1]], [GE], [1])
     with pytest.raises(ValueError, match="objective has 3 coefficients, the rows 2 columns"):
         solve([[1, 1]], [GE], [1], [1, 1, 1], start=start)
+
+
+def _traced_solve(module, rows, relations, rhs, objective):
+    """module.solve's result and its trace: each pivot (row, column, sign of
+    the pivot entry) in order and the basis at the end of each Bland run."""
+    trace = []
+    pivot, run = module._Tableau.pivot, module._Tableau.run
+
+    def traced_pivot(self, r, c, z, zrhs):
+        trace.append(("pivot", r, c, self.rows[r][c] > 0))
+        return pivot(self, r, c, z, zrhs)
+
+    def traced_run(self, z, zrhs, entering_limit):
+        state, zrhs = run(self, z, zrhs, entering_limit)
+        trace.append((state, self.basis[:]))
+        return state, zrhs
+
+    with mock.patch.object(module._Tableau, "pivot", traced_pivot), \
+            mock.patch.object(module._Tableau, "run", traced_run):
+        result = module.solve(rows, relations, rhs, objective)
+    return result, trace
+
+
+def _assert_matches_oracle(rows, relations, rhs, objective):
+    """The integer tableau makes the Fraction tableau's pivots and gives its
+    status, value, x, duals and final basis; returns the result and trace."""
+    got, got_trace = _traced_solve(simplex, rows, relations, rhs, objective)
+    want, want_trace = _traced_solve(oracle, rows, relations, rhs, objective)
+    problem = (rows, relations, rhs, objective)
+    assert (got.status, got.value, got.x, got.duals) == \
+        (want.status, want.value, want.x, want.duals), problem
+    assert got_trace == want_trace, problem
+    return got, got_trace
+
+
+def _rational(rng):
+    value = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+    return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
+
+
+def _with_redundant_equality(rows, relations, rhs, a, b, qa, qb, at):
+    """Make rows a and b equalities and insert their combination
+    qa*row_a + qb*row_b == qa*rhs_a + qb*rhs_b as row number at."""
+    relations[a] = relations[b] = EQ
+    rows.insert(at, [qa * u + qb * v for u, v in zip(rows[a], rows[b])])
+    rhs.insert(at, qa * rhs[a] + qb * rhs[b])
+    relations.insert(at, EQ)
+
+
+def _rational_problem(rng):
+    """1-6 rows over 1-5 columns, mixed EQ/GE, rhs of either sign, small
+    denominators, and now and then a redundant equality."""
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 6)
+    rows = [[_rational(rng) for _ in range(n)] for _ in range(m)]
+    relations = [EQ if rng.random() < 0.35 else GE for _ in range(m)]
+    rhs = [_rational(rng) for _ in range(m)]
+    if m >= 2 and rng.random() < 0.3:
+        a, b = rng.sample(range(m), 2)
+        _with_redundant_equality(rows, relations, rhs, a, b, _rational(rng),
+                                 _rational(rng), rng.randint(0, m))
+    objective = [_rational(rng) for _ in range(n)]
+    return rows, relations, rhs, objective
+
+
+def test_integer_tableau_matches_fraction_oracle_on_seeded_draws():
+    rng = random.Random(20240607)
+    statuses = {status: 0 for status in Status}
+    negative_pivots = 0
+    for _ in range(3000):
+        result, trace = _assert_matches_oracle(*_rational_problem(rng))
+        statuses[result.status] += 1
+        negative_pivots += any(step[0] == "pivot" and not step[3] for step in trace)
+    assert all(count > 100 for count in statuses.values()), statuses
+    assert negative_pivots > 10
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def _problems(draw, max_rows, max_cols):
+    n = draw(st.integers(1, max_cols))
+    m = draw(st.integers(1, max_rows))
+    rows = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=m, max_size=m))
+    relations = draw(st.lists(st.sampled_from([GE, EQ]), min_size=m, max_size=m))
+    rhs = draw(st.lists(_RATIONALS, min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        _with_redundant_equality(rows, relations, rhs, a, b, draw(_RATIONALS),
+                                 draw(_RATIONALS), draw(st.integers(0, m)))
+    objective = draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    return rows, relations, rhs, objective
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=_problems(max_rows=6, max_cols=5))
+def test_integer_tableau_matches_fraction_oracle(problem):
+    _assert_matches_oracle(*problem)
+
+
+def test_beale_pivots_match_fraction_oracle():
+    result, trace = _assert_matches_oracle(BEALE_ROWS, [GE, GE, GE], BEALE_RHS, BEALE_OBJECTIVE)
+    assert result.value == Fraction(-1, 20)
+    assert sum(step[0] == "pivot" for step in trace) > 3
+
+
+def test_drive_out_pivot_on_a_negative_entry_matches_fraction_oracle():
+    # phase 1 pivots x into row 0, so D becomes 2, and ends with the
+    # equality's artificial basic at 0; driving it out pivots on the negative
+    # y entry of row 1
+    result, trace = _assert_matches_oracle([[2, -1], [-1, 0]], [GE, EQ], [0, 0], [1, 1])
+    assert trace[:3] == [("pivot", 0, 0, True), ("optimal", [0, 4]), ("pivot", 1, 1, False)]
+    assert result.value == 0 and result.duals == [0, -1]
+
+
+def _assert_optimal_and_certified(result, rows, relations, rhs, objective):
+    """x is feasible, the duals are dual feasible and pay the value."""
+    for row, rel, b in zip(rows, relations, rhs):
+        lhs = sum(Fraction(c) * x for c, x in zip(row, result.x))
+        assert lhs == b if rel == EQ else lhs >= b
+    assert all(x >= 0 for x in result.x)
+    for j, cost in enumerate(objective):
+        assert sum(y * row[j] for y, row in zip(result.duals, rows)) <= cost, j
+    assert all(y >= 0 for y, rel in zip(result.duals, relations) if rel == GE)
+    assert sum(y * b for y, b in zip(result.duals, rhs)) == result.value
+
+
+def test_dual_of_a_row_dropped_under_another_rows_artificial():
+    # row 0 + row 1 is -y = -1, so row 2 (2y = 2) is redundant. Phase 1
+    # drops tableau row 2 while row 1's artificial is basic in it: that
+    # input row gets dual 0, and row 2 keeps its own
+    rows, relations, rhs, objective = [[-2, 0, -1], [2, -1, 1], [0, 2, 0]], [EQ] * 3, [-1, 0, 2], [1, 1, 1]
+    result = solve(rows, relations, rhs, objective)
+    assert brute_force_lp(rows, relations, rhs, objective) == ("optimal", Fraction(3, 2))
+    assert result.value == Fraction(3, 2)
+    assert result.duals == [Fraction(-1, 2), 0, Fraction(1, 2)]
+    _assert_optimal_and_certified(result, rows, relations, rhs, objective)
+
+
+@settings(deadline=None, max_examples=150)
+@given(problem=_problems(max_rows=4, max_cols=3))
+def test_rational_lps_match_brute_force(problem):
+    rows, relations, rhs, objective = problem
+    got = solve(rows, relations, rhs, objective)
+    want_status, want_value = brute_force_lp(rows, relations, rhs, objective)
+    assert got.status.value == want_status
+    if want_status == "optimal":
+        assert got.value == want_value
+        _assert_optimal_and_certified(got, rows, relations, rhs, objective)
+
+
+@pytest.mark.parametrize("rows, rhs, objective, named", [
+    ([[0.1, 1]], [Fraction(3, 10)], [1, 1], r"rows\[0\]\[0\] is 0.1"),
+    ([[1, 1]], [0.3], [1, 1], r"rhs\[0\] is 0.3"),
+    ([[1, 1]], [1], [1, 0.5], r"objective\[1\] is 0.5"),
+    ([[1, Decimal("0.5")]], [1], [1, 1], r"rows\[0\]\[1\] is Decimal\('0.5'\)"),
+    ([[0.1, 1]], [0.3], [1, 1], r"is 0.[13]"),
+])
+def test_non_rational_input_raises_type_error(rows, rhs, objective, named):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=named + ", not a rational number"):
+        solve(rows, [GE], rhs, objective)
+
+
+def test_feasible_rejects_a_float_row():
+    with pytest.raises(TypeError, match=r"rows\[0\]\[0\] is 0.1, not a rational number"):
+        feasible([[0.1, 1]], [GE], [1])
