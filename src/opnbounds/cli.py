@@ -153,7 +153,7 @@ def cmd_lemmas(args) -> int:
     else:
         key, header = "solutions", ("p", "q", "r", "p_is_odd_prime")
         rows = [(s.p, s.q, s.r, s.p_is_odd_prime)
-                for s in lemma2_scan(args.max, jobs=args.jobs)]
+                for s in lemma2_scan(args.max)]
         failures = sum(row[3] for row in rows)
         text = [f"{failures} odd-prime p solutions" if failures
                 else "no odd-prime p solution", f"incidental solutions: {len(rows)}"]
@@ -243,8 +243,8 @@ _COMMANDS = (
          *_SYSTEM,
          ("--slopes", dict(default="", help="comma-separated slopes, e.g. 2,8/3")),
          ("--out", dict(help="directory for the row certificates")))),
-    ("lemmas", cmd_lemmas, "check a supporting lemma: 1 by a polynomial sieve "
-                           "over p^2+p+1, 2 by its Pell recurrence", (
+    ("lemmas", cmd_lemmas, "check a supporting lemma: 1 by a walk over the "
+                           "primes that can divide two p^2+p+1, 2 by its Pell recurrence", (
         ("--which", dict(required=True, choices=["1", "2"])),
         ("--max", dict(required=True, type=_positive_int,
                        help="scan bound (primes for 1, p for 2)")),

@@ -7,9 +7,10 @@ p mod 3 (always 1 or 2 for such p); bucket S1/S2/S3plus is the number of
 prime factors of p^2+p+1 counted with multiplicity (one, two, three or
 more).
 
-The range scans factor no single value: the census and lemma 1 share a
-polynomial sieve over n^2+n+1, and lemma 2 follows a Pell recurrence. The
-direct loops they replace are test oracles in tests/nt_bruteforce.py.
+The range scans factor no single value: the census runs a polynomial sieve
+over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
+lemma 2 follows a Pell recurrence. The direct loops they replace are test
+oracles in tests/nt_bruteforce.py.
 """
 from __future__ import annotations
 
@@ -97,6 +98,17 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
     return SharedPrimes(min(a, b), max(a, b), common, bound)
 
 
+def _root(q: int) -> int:
+    """A root w of x^2+x+1 modulo a prime q = 3 or q = 1 (mod 3); the other
+    root is q-1-w, the same one when q = 3."""
+    if q == 3:
+        return 1
+    a = 2  # w = a^((q-1)/3) has w^3 = 1, so w != 1 makes w^2+w+1 = 0
+    while (w := pow(a, (q - 1) // 3, q)) == 1:
+        a += 1
+    return w
+
+
 def _segments(limit: int, jobs: int | None) -> list:
     """Sieve segments (lo, size, qs, ws) of the odd n = lo + 2j, j < size, in
     [5, limit]: one per job at least, none longer than _SEGMENT. qs are the
@@ -104,23 +116,16 @@ def _segments(limit: int, jobs: int | None) -> list:
     total = (limit - 3) // 2
     if total <= 0:
         return []
-    qs, ws = array("L"), array("L")
-    for q in sieve(limit):
-        if q % 3 == 1:
-            a = 2  # w = a^((q-1)/3) has w^3 = 1, so w != 1 makes w^2+w+1 = 0
-            while (w := pow(a, (q - 1) // 3, q)) == 1:
-                a += 1
-            qs.append(q)
-            ws.append(w)
+    qs = array("L", (q for q in sieve(limit) if q % 3 == 1))
+    ws = array("L", map(_root, qs))
     parts = max(effective_jobs(jobs, total), -(-total // _SEGMENT))
     edges = [total * k // parts for k in range(parts + 1)]
     return [(5 + 2 * a, b - a, qs, ws) for a, b in zip(edges, edges[1:])]
 
 
-def _census_chunk(segment, index: dict | None = None) -> list:
+def _census_chunk(segment) -> list:
     """Polynomial sieve of n^2+n+1 over the primes n of one segment: their
-    counts per cell in CELLS order. When index is a dict, each n is also
-    appended to index[q] for every prime q dividing n^2+n+1.
+    counts per cell in CELLS order.
 
     3 divides n^2+n+1 exactly when n = 1 (mod 3), 9 never. Any other prime
     factor q is 1 (mod 3) and divides it exactly when n = w or q-1-w
@@ -137,8 +142,6 @@ def _census_chunk(segment, index: dict | None = None) -> list:
         n = lo + 2 * j
         counts[j] = n % 3 == 1
         rest[j] = (n * n + n + 1) // (3 if counts[j] else 1)
-        if index is not None and counts[j]:
-            index.setdefault(3, []).append(n)
     for i, q in enumerate(qs):
         if q > hi:
             break
@@ -153,15 +156,10 @@ def _census_chunk(segment, index: dict | None = None) -> list:
                     c, e = c // q, e + 1
                 rest[j] = c
                 counts[j] += e
-                if index is not None:
-                    index.setdefault(q, []).append(lo + 2 * j)
                 k = hits.find(1, k + 1)
     cells = [0] * len(CELLS)
     for j in live:
-        n = lo + 2 * j
-        cells[2 * min(counts[j] + (rest[j] > 1), 3) + n % 3 - 3] += 1
-        if index is not None and rest[j] > 1:
-            index.setdefault(rest[j], []).append(n)
+        cells[2 * min(counts[j] + (rest[j] > 1), 3) + (lo + 2 * j) % 3 - 3] += 1
     return cells
 
 
@@ -172,21 +170,6 @@ def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
 
 
-def _index_chunk(segment) -> dict:
-    index = {}
-    _census_chunk(segment, index)
-    return index
-
-
-def sigma_prime_index(max_prime: int, jobs: int | None = 1) -> dict:
-    """{q: the primes 3 < a <= max_prime with q | a^2+a+1, ascending}."""
-    index = {}
-    for part in run_chunks(_index_chunk, _segments(max_prime, jobs), jobs):
-        for q, members in part.items():
-            index.setdefault(q, []).extend(members)
-    return {q: sorted(members) for q, members in index.items()}
-
-
 @dataclass(frozen=True)
 class Lemma1Violation:
     a: int
@@ -195,20 +178,40 @@ class Lemma1Violation:
     bound: Fraction
 
 
-def _lemma1_chunk(groups) -> list:
-    """Pair walk over (q, ascending primes a with q | a^2+a+1) groups: q
-    breaks the bound for a same-residue pair a < b exactly when
-    a + b + 1 < k*q (k = 3 for residue 1, 5 for residue 2). The walk stops
-    at the first a with no such b, since a larger a has none either."""
+# lemma 1: a prime shared by a^2+a+1 and b^2+b+1, a = b (mod 3), is at most
+# (a+b+1)/k, with k by the residue
+_LEMMA1_K = {1: 3, 2: 5}
+
+
+def _lemma1_chunk(args) -> list:
+    """Lemma 1 violations, with k_of the bound's k per residue, among the
+    primes 3 < a < b <= max_prime whose shared prime is one of qs, a
+    stride of the primes below 2*max_prime that are 3 or 1 (mod 3).
+
+    Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
+    q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
+    q | b^2+b+1 exactly when b = a or b = -1-a (mod q), so a shared q is at
+    most a+b+1 < 2*max_prime: qs over all strides hold every shared prime.
+    q | n^2+n+1 exactly when n = w or q-1-w (mod q), with w from _root
+    (both 1 when q = 3). If a is one root, -1-a is the other, so a and b
+    lie in the same two classes. A violation needs a+b+1 < k*q, so
+    a < k*q/2 and b <= min(max_prime, k*q - a - 2): both are below
+    max(k)*q, which is 5q for lemma 1, where each class has at most 3 odd
+    values. Each pair of primes among them with equal residues and
+    a+b+1 < k*q is a violation, with bound (a+b+1)/k."""
+    max_prime, k_of, qs = args
+    flags = odd_prime_flags(3, max(0, (max_prime - 1) // 2))  # 3 + 2j is prime
+    k_top = max(k_of.values())
     out = []
-    for q, members in groups:
-        for residue, k in ((1, 3), (2, 5)):
-            same = [a for a in members if a % 3 == residue]
-            for i, a in enumerate(same):
-                partners = [b for b in same[i + 1:] if a + b + 1 < k * q]
-                if not partners:
-                    break
-                out += [Lemma1Violation(a, b, q, Fraction(a + b + 1, k)) for b in partners]
+    for q in qs:
+        w, top = _root(q), min(max_prime, k_top * q)
+        found = sorted(n for r in {w, q - 1 - w}
+                       for n in range(r if r % 2 else r + q, top + 1, 2 * q)
+                       if n > 3 and flags[(n - 3) // 2])
+        for i, a in enumerate(found):
+            k = k_of[a % 3]
+            out += [Lemma1Violation(a, b, q, Fraction(a + b + 1, k)) for b in found[i + 1:]
+                    if b % 3 == a % 3 and a + b + 1 < k * q]
     return out
 
 
@@ -216,7 +219,10 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     """Check every same-residue pair of odd primes 3 < a < b <= max_prime:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
     bound. Returns violations sorted by (a, b, p); the expectation is none."""
-    violations = _lemma1_chunk(sigma_prime_index(max_prime, jobs).items())
+    qs = [q for q in sieve(2 * max_prime) if q % 3 == 1 or q == 3]
+    parts = effective_jobs(jobs, len(qs))
+    chunks = [(max_prime, _LEMMA1_K, qs[k::parts]) for k in range(parts)]
+    violations = [v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part]
     return sorted(violations, key=lambda v: (v.a, v.b, v.p))
 
 
@@ -260,11 +266,11 @@ def _lemma2_chunk(max_p: int) -> list:
     return out
 
 
-def lemma2_scan(max_p: int, jobs: int | None = 1) -> list:
+def lemma2_scan(max_p: int) -> list:
     """All positive integer solutions of p^2+p+1 = r, q^2+q+1 = 3r with
     p <= max_p, sorted by p. The supporting lemma says no solution has p an
     odd prime; solutions that do exist (like p = 2) are incidental. The
-    walk takes O(log max_p) steps in one process, whatever jobs says."""
+    walk takes O(log max_p) steps in one process."""
     return _lemma2_chunk(max_p)
 
 

@@ -3,12 +3,25 @@
 A LinExpr is a finite map {variable: nonzero Fraction} plus a rational
 constant. Keys can be anything hashable with a total order; the model layer
 uses its variable enum. Zero coefficients are never stored, so structural
-equality is semantic equality.
+equality is semantic equality. Every coefficient, constant, factor and
+multiplier must be a numbers.Rational (an int or a Fraction); anything else,
+a float in particular, raises TypeError naming it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Tuple
+
+
+def _rational(value, what, var=None) -> Fraction:
+    """value as a Fraction, or TypeError naming what (of var) it is."""
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, Rational):
+        where = "" if var is None else f" of {var!r}"
+        raise TypeError(f"{what} {value!r}{where} is not a rational number")
+    return Fraction(value)
 
 
 class LinExpr:
@@ -20,13 +33,13 @@ class LinExpr:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean = {}
         for var, coeff in items:
-            c = Fraction(coeff)
+            c = _rational(coeff, "coefficient", var)
             if c:
                 clean[var] = c
             elif var in clean:  # explicit zero cancels an earlier entry
                 del clean[var]
         self.terms = clean
-        self.constant = Fraction(constant)
+        self.constant = _rational(constant, "constant")
 
     def coeff(self, var) -> Fraction:
         return self.terms.get(var, Fraction(0))
@@ -42,7 +55,7 @@ class LinExpr:
         return total
 
     def scaled(self, factor) -> "LinExpr":
-        f = Fraction(factor)
+        f = _rational(factor, "factor")
         if not f:
             return LinExpr()
         return LinExpr({v: c * f for v, c in self.terms.items()}, self.constant * f)
@@ -82,7 +95,7 @@ def combine(parts: Iterable[Tuple[object, LinExpr]]) -> LinExpr:
     terms: dict = {}
     constant = Fraction(0)
     for multiplier, expr in parts:
-        m = Fraction(multiplier)
+        m = _rational(multiplier, "multiplier")
         if not m:
             continue
         for var, coeff in expr.terms.items():

@@ -119,7 +119,7 @@ def test_criterion_07_lemma1_clean_to_5000():
 
 def test_criterion_08_lemma2_clean_to_1e6():
     start = time.perf_counter()
-    solutions = lemma2_scan(10**6, jobs=1)
+    solutions = lemma2_scan(10**6)
     elapsed = time.perf_counter() - start
     ok = (all(not s.p_is_odd_prime for s in solutions)
           and (2, 4, 7) in [(s.p, s.q, s.r) for s in solutions])

@@ -610,7 +610,7 @@ def test_lemma_rows_frozen(capsys, monkeypatch):
            '      "bound": "17/5"\n    },\n    {\n      "a": 7,\n      "b": 13,\n'
            '      "p": 3,\n      "bound": "7"\n    }\n  ]\n}\n', "")
 
-    monkeypatch.setattr(cli, "lemma2_scan", lambda limit, jobs: [
+    monkeypatch.setattr(cli, "lemma2_scan", lambda limit: [
         Lemma2Solution(2, 4, 7), Lemma2Solution(5, 9, 31)])
     base = ["lemmas", "--which", "2", "--max", "20"]
     assert run(capsys, *base) == (
@@ -653,8 +653,8 @@ PARSER_SHAPE = {
         _HELP, *_SYSTEM,
         (["--slopes"], "slopes", None, None, "", False, "comma-separated slopes, e.g. 2,8/3"),
         (["--out"], "out", None, None, None, False, "directory for the row certificates")]),
-    "lemmas": ("check a supporting lemma: 1 by a polynomial sieve over p^2+p+1, "
-               "2 by its Pell recurrence", [
+    "lemmas": ("check a supporting lemma: 1 by a walk over the primes that can divide "
+               "two p^2+p+1, 2 by its Pell recurrence", [
         _HELP,
         (["--which"], "which", None, ["1", "2"], None, True, None),
         (["--max"], "max", "_positive_int", None, None, True,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -10,8 +11,7 @@ from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
 from opnbounds import lemmas
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
-                              lemma2_violations, shared_primes,
-                              sigma_prime_index)
+                              lemma2_violations, shared_primes)
 from opnbounds.primes import PSI_13, is_prime, sieve
 
 # counts pinned from an independent factoring library
@@ -146,6 +146,7 @@ def test_lemma1_scan_clean_and_worker_independent():
 
 
 def test_lemma2_scan_small():
+    assert lemma2_scan(0) == []
     assert lemma2_scan(1) == []  # p=1 gives 12r-3 = 33, not a square
     solutions = lemma2_scan(100)
     assert solutions == [Lemma2Solution(2, 4, 7),
@@ -157,11 +158,6 @@ def test_lemma2_scan_small():
     for s in solutions:
         assert s.p * s.p + s.p + 1 == s.r
         assert s.q * s.q + s.q + 1 == 3 * s.r
-
-
-def test_lemma2_scan_worker_independent():
-    assert lemma2_scan(20000, jobs=2) == lemma2_scan(20000, jobs=1)
-    assert lemma2_scan(0) == []
 
 
 def test_lemma2_violation_filter():
@@ -218,30 +214,37 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
         assert bucket_census(20000, jobs=jobs) == want, jobs
 
 
-def test_shared_prime_triples_match_all_pairs_gcd():
-    index = sigma_prime_index(600)
-    triples = {(a, b, q) for q, members in index.items()
-               for i, a in enumerate(members) for b in members[i + 1:]}
-    assert triples == brute_shared_triples(600)
-    assert len(triples) == 2113
-    assert sum(a % 3 == b % 3 for a, b, _ in triples) == 1651
+def test_lemma1_walk_finds_every_same_residue_shared_prime(monkeypatch):
+    # with k = 10^9 every shared prime breaks the bound, so the walk must
+    # report each same-residue triple (a, b, q) of the all-pairs gcd, once,
+    # q = 3 included
+    monkeypatch.setattr(lemmas, "_LEMMA1_K", {1: 10**9, 2: 10**9})
+    want = {(a, b, q) for a, b, q in brute_shared_triples(600) if a % 3 == b % 3}
+    assert len(want) == 1651
+    assert any(q == 3 for _, _, q in want)
+    for jobs in (1, 2, 3):
+        found = lemma1_scan(600, jobs=jobs)
+        assert [(v.a, v.b, v.p) for v in found] == sorted(want), jobs
+        assert all(v.bound == Fraction(v.a + v.b + 1, 10**9) for v in found)
 
 
-def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
-    # with q = 100 standing in for a shared prime, a same-residue pair a < b
-    # violates exactly when a + b + 1 < 3q (residue 1) or 5q (residue 2);
-    # the walk must report those and stop at the rest
-    members = [5, 7, 11, 13, 17, 283, 293, 331, 491]
-    want = set()
-    for a in members:
-        for b in members:
-            k = 3 if a % 3 == 1 else 5
-            if a < b and a % 3 == b % 3 and a + b + 1 < k * 100:
-                want.add((a, b, 100, Fraction(a + b + 1, k)))
-    found = lemmas._lemma1_chunk([(100, members)])
-    assert {(v.a, v.b, v.p, v.bound) for v in found} == want
-    assert len(found) == len(want) == 10
-    assert all(331 not in (v.a, v.b) for v in found)  # 7 + 331 + 1 >= 300
+def test_lemma1_factors_nothing(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("lemma 1 factored or ran the census sieve")
+
+    monkeypatch.setattr(lemmas, "factorize", no_work)
+    monkeypatch.setattr(lemmas, "_census_chunk", no_work)
+    assert lemma1_scan(3000, jobs=1) == []
+
+
+def test_lemma1_memory_stays_small():
+    tracemalloc.start()
+    try:
+        assert lemma1_scan(50000, jobs=1) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_lemma1_matches_bruteforce():

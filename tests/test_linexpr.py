@@ -1,5 +1,8 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
 
 from opnbounds.linexpr import LinExpr, combine
 from opnbounds.model import Var
@@ -58,3 +61,29 @@ def test_evaluate_and_operators():
     assert 2 * expr == expr * 2 == expr.scaled(2)
     assert (expr - expr).is_zero()
     assert hash(expr) == hash(LinExpr(dict(expr.terms), expr.constant))
+
+
+def test_constructor_rejects_non_rationals():
+    for bad in (0.1, Decimal("0.1"), "1/2", complex(1)):
+        with pytest.raises(TypeError, match=r"coefficient .* of <Var\.omega: 13> is not"):
+            LinExpr({Var.Omega: 1, Var.omega: bad})
+        with pytest.raises(TypeError, match="constant .* is not a rational number"):
+            LinExpr({Var.e: 1}, bad)
+    assert LinExpr({Var.e: True}, 2) == LinExpr({Var.e: Fraction(1)}, Fraction(2))
+
+
+def test_scaled_rejects_non_rationals():
+    row = LinExpr({Var.e: 1}, 1)
+    for bad in (0.5, 0.0, Decimal(2)):
+        with pytest.raises(TypeError, match="factor .* is not a rational number"):
+            row.scaled(bad)
+        with pytest.raises(TypeError, match="factor"):
+            row * bad
+    assert row.scaled(Fraction(1, 2)) == LinExpr({Var.e: Fraction(1, 2)}, Fraction(1, 2))
+
+
+def test_combine_rejects_non_rationals():
+    row = LinExpr({Var.e: 1}, 1)
+    for bad in (0.5, 0.0, Decimal(1)):
+        with pytest.raises(TypeError, match="multiplier .* is not a rational number"):
+            combine([(1, row), (bad, row)])
