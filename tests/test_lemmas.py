@@ -146,7 +146,6 @@ def test_lemma1_scan_clean_and_worker_independent():
 
 
 def test_lemma2_scan_small():
-    assert lemma2_scan(0) == []
     assert lemma2_scan(1) == []  # p=1 gives 12r-3 = 33, not a square
     solutions = lemma2_scan(100)
     assert solutions == [Lemma2Solution(2, 4, 7),
@@ -158,6 +157,18 @@ def test_lemma2_scan_small():
     for s in solutions:
         assert s.p * s.p + s.p + 1 == s.r
         assert s.q * s.q + s.q + 1 == 3 * s.r
+
+
+def test_lemma2_scan_worker_independent(monkeypatch):
+    # the Pell walk runs in the calling process: it asks for no job count
+    # and starts no pool, so no worker setting can change its answer
+    def no_pool(*args):
+        raise AssertionError("lemma 2 used the worker pool")
+
+    monkeypatch.setattr(lemmas, "effective_jobs", no_pool)
+    monkeypatch.setattr(lemmas, "run_chunks", no_pool)
+    assert lemma2_scan(20000) == brute_lemma2(20000)
+    assert lemma2_scan(0) == []
 
 
 def test_lemma2_violation_filter():
@@ -214,18 +225,39 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
         assert bucket_census(20000, jobs=jobs) == want, jobs
 
 
-def test_lemma1_walk_finds_every_same_residue_shared_prime(monkeypatch):
+def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
     # with k = 10^9 every shared prime breaks the bound, so the walk must
     # report each same-residue triple (a, b, q) of the all-pairs gcd, once,
     # q = 3 included
     monkeypatch.setattr(lemmas, "_LEMMA1_K", {1: 10**9, 2: 10**9})
-    want = {(a, b, q) for a, b, q in brute_shared_triples(600) if a % 3 == b % 3}
+    triples = brute_shared_triples(600)
+    assert len(triples) == 2113
+    want = {(a, b, q) for a, b, q in triples if a % 3 == b % 3}
     assert len(want) == 1651
     assert any(q == 3 for _, _, q in want)
     for jobs in (1, 2, 3):
         found = lemma1_scan(600, jobs=jobs)
         assert [(v.a, v.b, v.p) for v in found] == sorted(want), jobs
         assert all(v.bound == Fraction(v.a + v.b + 1, 10**9) for v in found)
+
+
+def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
+    # with the bound's k raised to 21 (residue 1) and 29 (residue 2), the
+    # shared prime q = 13 is broken by exactly the same-residue prime pairs
+    # a < b in its root classes with a + b + 1 < k*q; the walk must report
+    # those and stop at the rest, the pairs right at the limit included
+    k_of = {1: 21, 2: 29}
+    members = [p for p in sieve(500) if p > 3 and (p * p + p + 1) % 13 == 0]
+    pairs = [(a, b) for a in members for b in members
+             if a < b and a % 3 == b % 3]
+    want = {(a, b, 13, Fraction(a + b + 1, k_of[a % 3])) for a, b in pairs
+            if a + b + 1 < k_of[a % 3] * 13}
+    found = lemmas._lemma1_chunk((500, k_of, [13]))
+    assert {(v.a, v.b, v.p, v.bound) for v in found} == want
+    assert len(found) == len(want) == 10
+    assert len(pairs) - len(want) == 28  # same-residue pairs past the limit
+    at_limit = {(a, b) for a, b in pairs if a + b + 1 == k_of[a % 3] * 13}
+    assert at_limit == {(29, 347), (61, 211), (107, 269), (113, 263)}
 
 
 def test_lemma1_factors_nothing(monkeypatch):
