@@ -45,30 +45,60 @@ Within one outer point e, t, s21, s31, f3 and f4 are fixed, so among its
 points of least key the order is decided by s, then s1, then s2 = s21 + s22;
 s3, Omega and omega follow from those. For c >= 0 the least s is S = 0, a
 single point. For c < 0 every point of least key has the largest S, hence
-the same s, and the least of them has the least s1, then the least s22. Its
-s32 = S - s1 - s22 is min(box, budget // 3) with budget the slack of Eq. 13
-at s32 = 0: no larger s32 is feasible, and a smaller one would make S
-smaller. Each outer point thus yields its least (key, witness) pair, and
-the least pair over all outer points is the least over the whole box, which
-is what visiting every point returns. tests/scan_bruteforce.py keeps that
-visit as the test oracle. Each outer point solves its block once, since
-(t, s21, s31, u) is the walk itself.
+the same s, and the least of them has the least s1, then the least s22.
+Each outer point thus yields its least (key, witness) pair, and the least
+pair over all outer points is the least over the whole box, which is what
+visiting every point returns. tests/scan_bruteforce.py keeps that visit as
+the test oracle.
+
+The block is solved in closed form, in O(1) per outer point. With
+R = u + s21 and Q = t + s21 + s31 + 1 its rows are
+
+    s1 <= t + s31 + 1                  (Eq. 11)
+    s1 + s22 <= Q                      (Eq. 10)
+    s1 + 2*s22 + 3*s32 <= R            (Eq. 13)
+    0 <= s1, s22, s32 <= box.
+
+- Largest S: fill greedily, cheapest Eq. 13 cost first. s1 = P with
+  P = min(box, t + s31 + 1, R), then s22 = b0 = min(box, Q - P,
+  (R - P) // 2), then s32 = min(box, (R - P - 2*b0) // 3). No block has a
+  larger S, by exchange. Take any feasible block. While s1 < P, raise s1 by
+  one and lower s22 if it is positive, else s32 if it is positive: S stays
+  or grows, and Eq. 13 frees budget. Q >= t + s31 + 1 >= P, so Eq. 10
+  never blocks this step: lowering s22 keeps s1 + s22, and with s22 = 0,
+  s1 + 1 <= P <= Q.
+  Then, at s1 = P, while s22 < b0, raise s22 and lower s32 if it is
+  positive: S stays or grows, Eq. 13 frees budget, and b0 keeps Eq. 10 and
+  the box. Last, s32 is at most min(box, (R - P - 2*b0) // 3).
+- Least s1 for that S: put s32 = S - s1 - s22. An s1 in
+  [0, min(box, t + s31 + 1)] is feasible exactly when some s22 has
+  max(0, S - s1 - box, 3S - 2*s1 - R) <= s22 <= min(box, Q - s1, S - s1).
+  Pairing each lower bound with each upper bound, the pairs that read s1
+  give s1 >= S - 2*box, s1 >= ceil((3S - R - box) / 2), s1 >= 3S - R - Q,
+  s1 >= 2S - R, s1 <= Q and s1 <= S; the pairs that do not read s1 hold,
+  because the greedy block is feasible. That block has s1 = P, so P meets
+  every upper bound, and the feasible s1 are the integers from the largest
+  of the lower bounds and 0 up to P.
+- Least s22: the lower end max(0, S - s1 - box, 3S - 2*s1 - R) of the
+  interval above at that s1, and s32 = S - s1 - s22.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from numbers import Rational
 from typing import Mapping
 
 from .model import Case, ConstraintSystem, Relation, Var
 from .workers import effective_jobs, run_chunks
 
 # Largest box integer_scan accepts per case. The walk visits about box^4
-# outer points for three_divides and box^2 for three_coprime, and past slope
-# 2 each solves its block in O(box), so the time grows like box^5 and box^3;
-# at these caps a scan takes about 8 s (2-core host, CPython 3.11.7) at the
-# slowest slopes, past 2.
-MAX_BOX = {Case.THREE_COPRIME: 570, Case.THREE_DIVIDES: 34}
+# outer points for three_divides and box^2 for three_coprime and solves each
+# block in O(1), so the time grows like box^4 and box^2; at these caps a scan
+# takes about 6-8 s (2-core host, CPython 3.11.7, jobs 1) at the slowest
+# slopes, past 2.
+MAX_BOX = {Case.THREE_COPRIME: 2000, Case.THREE_DIVIDES: 60}
 
 
 def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
@@ -95,45 +125,36 @@ class ScanResult:
 
 def _largest_block(box, t, s21, s31, u):
     """(s1, s22, s32) with the largest s1 + s22 + s32 under Eq. 10, 11 and 13
-    and the box, then the least s1, then the least s22; u is e + f4.
-
-    s32 = min(box, budget // 3) where budget = u + s21 - s1 - 2*s22 is the
-    Eq. 13 slack at s32 = 0. One more s22 lowers budget // 3 by at most one,
-    so for each s1 the sum is largest at the top feasible s22."""
-    room = u + s21
-
-    def size(s1, s22):
-        return s1 + s22 + min(box, (room - s1 - 2 * s22) // 3)
-
-    best = None
-    for s1 in range(0, min(box, t + s31 + 1, room) + 1):                # Eq. 11, 13
-        top = min(box, t + s21 + s31 + 1 - s1, (room - s1) // 2)       # Eq. 10, 13
-        total = size(s1, top)
-        if best is None or total > best[0]:
-            best = (total, s1, top)
-    total, s1, top = best
-    s22 = next(s22 for s22 in range(top + 1) if size(s1, s22) == total)
+    and the box, then the least s1, then the least s22; u is e + f4. The
+    closed form and its proof are in the module docstring."""
+    room, pair = u + s21, t + s21 + s31 + 1                         # R, Q
+    s1 = min(box, t + s31 + 1, room)                                # P
+    s22 = min(box, pair - s1, (room - s1) // 2)
+    total = s1 + s22 + min(box, (room - s1 - 2 * s22) // 3)
+    s1 = max(0, total - 2 * box, -((room + box - 3 * total) // 2),
+             3 * total - room - pair, 2 * total - room)
+    s22 = max(0, total - s1 - box, 3 * total - 2 * s1 - room)
     return s1, s22, total - s1 - s22
 
 
 def _scan_chunk(args):
-    no3, f3_min2, num, den, box, pairs = args
+    no3, f3_min2, num, den, box, k, parts = args
     omega_extra = 1 if no3 else 2
     f3_least = 2 if f3_min2 else 0
     if f3_least > box:
         return None
     s_top = 0 if no3 else box     # three_coprime fixes f3 = s21 = s31 = 0
     fill = 2 * den - num < 0      # the key falls as s grows
+    pairs = ((t, u) for t in range(0, box // 4 + 1)        # Eq. 14 with f4 <= box
+             for u in range(4 * t + 1, 2 * box + 1))        # Eq. 5 and 14
     best = None
-    for t, u in pairs:
-        e = max(1, u - box)       # the least e of the split u = e + f4
-        f4 = u - e
+    for t, u in islice(pairs, k, None, parts):
+        e, f4 = max(1, u - box), min(u - 1, box)    # the least e of the split u = e + f4
         for s21 in range(0, s_top + 1):
             for s31 in range(0, s_top - s21 + 1):
                 f3 = max(s21 + s31, f3_least)                     # Eq. 12
                 s1, s22, s32 = _largest_block(box, t, s21, s31, u) if fill else (0, 0, 0)
-                s2 = s21 + s22
-                s3 = s31 + s32
+                s2, s3 = s21 + s22, s31 + s32
                 s = s1 + s2 + s3
                 omega = s + t + omega_extra
                 big = e + f3 + 2 * s + f4
@@ -148,8 +169,13 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
                  jobs: int | None = 1) -> ScanResult:
     """Exact minimum of Omega - slope*omega over feasible integer points
     whose free variables lie in [0, box_max]; ties on the value resolve to
-    the lexicographically least witness in declaration order. A box past
-    MAX_BOX for the system's case raises ValueError before any work."""
+    the lexicographically least witness in declaration order. The slope
+    must be a numbers.Rational and box_max an int, else TypeError; a box
+    past MAX_BOX for the system's case raises ValueError before any work."""
+    if not isinstance(slope, Rational):
+        raise TypeError(f"slope {slope!r} is not a rational number")
+    if not isinstance(box_max, int):
+        raise TypeError(f"box_max {box_max!r} is not an int")
     if box_max < 0:
         raise ValueError("box_max must be nonnegative")
     cap = MAX_BOX[system.case]
@@ -158,15 +184,12 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
                          f"scan box for {system.case.value}")
     slope = Fraction(slope)
     no3 = system.case is Case.THREE_COPRIME
-    pairs = [(t, u) for t in range(0, box_max // 4 + 1)       # Eq. 14 with f4 <= box
-             for u in range(4 * t + 1, 2 * box_max + 1)]      # Eq. 5 and 14
-    parts = effective_jobs(jobs, len(pairs))
+    quarter = box_max // 4
+    parts = effective_jobs(jobs, 2 * (quarter + 1) * (box_max - quarter))  # (t, u) pairs
     chunks = [(no3, system.include_f3_min2, slope.numerator, slope.denominator,
-               box_max, pairs[k::parts]) for k in range(parts)]
-    best = None
-    for found in run_chunks(_scan_chunk, chunks, jobs):
-        if found is not None and (best is None or found < best):
-            best = found
+               box_max, k, parts) for k in range(parts)]
+    best = min((found for found in run_chunks(_scan_chunk, chunks, jobs)
+                if found is not None), default=None)
     if best is None:
         return ScanResult(None, None)
     witness = dict(zip(Var, best[1]))  # witness tuples follow declaration order

@@ -1,13 +1,38 @@
 """Reference integer scan for cross-checking opnbounds.enumeration: the
 pruned loop that walked every feasible point of the box, s1, s22 and s32
-included, before the scan solved that inner block in closed form. Slow past
-small boxes, which is the point: it shares no inner-block logic with the
-code under test.
+included, before the scan solved that inner block. Slow past small boxes,
+which is the point: it shares no inner-block logic with the code under test.
+
+largest_block_loop is the O(box) search for the inner block that the scan
+used before the closed form; tests compare the two point by point.
 """
 from fractions import Fraction
 
 from opnbounds.enumeration import ScanResult
 from opnbounds.model import Case, Var
+
+
+def largest_block_loop(box, t, s21, s31, u):
+    """(s1, s22, s32) with the largest s1 + s22 + s32 under Eq. 10, 11 and 13
+    and the box, then the least s1, then the least s22; u is e + f4.
+
+    s32 = min(box, budget // 3) where budget = u + s21 - s1 - 2*s22 is the
+    Eq. 13 slack at s32 = 0. One more s22 lowers budget // 3 by at most one,
+    so for each s1 the sum is largest at the top feasible s22."""
+    room = u + s21
+
+    def size(s1, s22):
+        return s1 + s22 + min(box, (room - s1 - 2 * s22) // 3)
+
+    best = None
+    for s1 in range(0, min(box, t + s31 + 1, room) + 1):                # Eq. 11, 13
+        top = min(box, t + s21 + s31 + 1 - s1, (room - s1) // 2)       # Eq. 10, 13
+        total = size(s1, top)
+        if best is None or total > best[0]:
+            best = (total, s1, top)
+    total, s1, top = best
+    s22 = next(s22 for s22 in range(top + 1) if size(s1, s22) == total)
+    return s1, s22, total - s1 - s22
 
 
 def _scan_chunk(args):

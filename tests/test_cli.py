@@ -428,7 +428,7 @@ def test_scan_box_past_the_cap_exits_2(capsys, monkeypatch):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(enumeration, "run_chunks", no_scan)
-    for system, box, cap in (("three_divides", 35, 34), ("three_coprime", 571, 570)):
+    for system, box, cap in (("three_divides", 61, 60), ("three_coprime", 2001, 2000)):
         code, out, err = run(capsys, "scan", "--system", system, "--slope", "21/8",
                              "--box", str(box))
         assert code == 2

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from opnbounds import enumeration
 from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
-from scan_bruteforce import bruteforce_scan
+from scan_bruteforce import bruteforce_scan, largest_block_loop
 
 NO3 = build_system(Case.THREE_COPRIME)
 WITH3 = build_system(Case.THREE_DIVIDES)
@@ -201,6 +202,42 @@ def test_scan_equals_pruned_loop_oracle_on_drawn_cases(case, f3_min2, slope, box
     assert integer_scan(system, slope, box, jobs=1) == bruteforce_scan(system, slope, box)
 
 
+def _block_points(box):
+    """Every outer point (t, s21, s31, u) the three_divides walk visits at
+    this box; the three_coprime points are those with s21 = s31 = 0."""
+    for t in range(0, box // 4 + 1):
+        for u in range(4 * t + 1, 2 * box + 1):
+            for s21 in range(0, box + 1):
+                for s31 in range(0, box - s21 + 1):
+                    yield t, s21, s31, u
+
+
+def test_closed_form_block_equals_loop_at_every_small_point():
+    count = 0
+    for box in range(0, 13):
+        for t, s21, s31, u in _block_points(box):
+            assert enumeration._largest_block(box, t, s21, s31, u) == \
+                largest_block_loop(box, t, s21, s31, u), (box, t, s21, s31, u)
+            count += 1
+    assert count == 19892
+
+
+@st.composite
+def _block_point(draw):
+    box = draw(st.integers(1, 600))
+    t = draw(st.integers(0, box // 4))
+    u = draw(st.integers(4 * t + 1, 2 * box))
+    s21 = draw(st.integers(0, box))
+    s31 = draw(st.integers(0, box - s21))
+    return box, t, s21, s31, u
+
+
+@settings(deadline=None, max_examples=300)
+@given(point=_block_point())
+def test_closed_form_block_equals_loop_on_drawn_points(point):
+    assert enumeration._largest_block(*point) == largest_block_loop(*point)
+
+
 def test_box_four_reproduces_theorem_minima():
     no3 = integer_scan(NO3, Fraction(8, 3), 4)
     assert no3.minimum == Fraction(-7, 3)
@@ -230,18 +267,31 @@ def _no_scan(*args, **kwargs):
 
 
 def test_box_caps(monkeypatch):
-    # at these caps a scan takes about 8 s past slope 2, and its time grows
-    # like box^3 for three_coprime and box^5 for three_divides (box^2 and
-    # box^4 outer points, each solving its block in O(box)); the benchmark's
+    # at these caps a scan takes about 6-8 s past slope 2, and its time grows
+    # like box^2 for three_coprime and box^4 for three_divides (box^2 and
+    # box^4 outer points, each solving its block in O(1)); the benchmark's
     # boxes 12, 40 and 5, 9 fit
-    assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 570, Case.THREE_DIVIDES: 34}
+    assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 2000, Case.THREE_DIVIDES: 60}
     monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
-    for system, cap in ((NO3, 570), (WITH3, 34), (WITH3_SHARP, 34)):
+    for system, cap in ((NO3, 2000), (WITH3, 60), (WITH3_SHARP, 60)):
         with pytest.raises(ValueError, match=f"^box {cap + 1} is larger than {cap}, "
                            f"the largest scan box for {system.case.value}$"):
             integer_scan(system, Fraction(21, 8), cap + 1)
         with pytest.raises(AssertionError, match="the scan started"):
             integer_scan(system, Fraction(21, 8), cap)
+
+
+def test_scan_rejects_inputs_of_the_wrong_type(monkeypatch):
+    # a float slope would be scanned as its binary value (0.1 gave the
+    # minimum 32425917317067571/36028797018963968), a str or Decimal one as
+    # whatever Fraction makes of it
+    monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
+    for slope in (0.1, 2.0, "8/3", Decimal("2.5"), 1j):
+        with pytest.raises(TypeError, match=r"^slope .* is not a rational number$"):
+            integer_scan(NO3, slope, 3)
+    for box in (3.0, Fraction(3), "3", Decimal(3), None):
+        with pytest.raises(TypeError, match=r"^box_max .* is not an int$"):
+            integer_scan(WITH3, Fraction(21, 8), box)
 
 
 def test_jobs_do_not_change_results():
