@@ -90,7 +90,7 @@ from itertools import islice
 from numbers import Rational
 from typing import Mapping
 
-from .model import Case, ConstraintSystem, Relation, Var
+from .model import Case, ConstraintSystem, Var
 from .workers import effective_jobs, run_chunks
 
 # Largest box integer_scan accepts per case. The walk visits about box^4
@@ -102,19 +102,8 @@ MAX_BOX = {Case.THREE_COPRIME: 2000, Case.THREE_DIVIDES: 60}
 
 
 def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
-    """Every constraint of the system holds exactly at the point. The sum is
-    recomputed here term by term rather than through LinExpr.evaluate; tests
-    cross-audit the two paths."""
-    for c in system.constraints:
-        total = c.body.constant
-        for var, coeff in c.body.terms.items():
-            total += coeff * point[var]
-        if c.relation is Relation.EQ:
-            if total != 0:
-                return False
-        elif total < 0:
-            return False
-    return True
+    """Every constraint of the system holds exactly at the point."""
+    return system.first_violated(point) is None
 
 
 @dataclass

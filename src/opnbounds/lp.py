@@ -65,10 +65,10 @@ def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
         return LPSolution(result.status)
 
     primal = {v: result.x[v.value] for v in Var}
-    for c in system.constraints:  # the witness must satisfy the system exactly
-        body = c.body.evaluate(primal)
-        if not (body == 0 if c.relation is Relation.EQ else body >= 0):
-            raise RuntimeError(f"simplex witness violates constraint {c.name}: {body}")
+    broken = system.first_violated(primal)  # the witness must satisfy the system
+    if broken is not None:
+        raise RuntimeError(f"simplex witness violates constraint {broken.name}: "
+                           f"{broken.body.evaluate(primal)}")
     value = result.value + objective.constant
     if objective.evaluate(primal) != value:
         raise RuntimeError(f"objective at the simplex witness is not the optimum {value}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import Mapping
 
 from .linexpr import LinExpr
 from .rationals import format_rational
@@ -91,6 +92,15 @@ class ConstraintSystem:
 
     def names(self) -> tuple:
         return tuple(c.name for c in self.constraints)
+
+    def first_violated(self, point: Mapping) -> Constraint | None:
+        """The first constraint that does not hold exactly at the point, or
+        None when all hold; the point assigns every variable a body reads."""
+        for c in self.constraints:
+            body = c.body.evaluate(point)
+            if body < 0 or (body and c.relation is Relation.EQ):
+                return c
+        return None
 
 
 def _ge(name, label, terms, constant=0):
@@ -179,6 +189,5 @@ def describe_system(system: ConstraintSystem) -> str:
     """One line per constraint: 'name | label | body relation'."""
     lines = []
     for c in system.constraints:
-        rel = "≥ 0" if c.relation is Relation.GE else "= 0"
-        lines.append(f"{c.name} | {c.label} | {render_linexpr(c.body)} {rel}")
+        lines.append(f"{c.name} | {c.label} | {render_linexpr(c.body)} {c.relation.value}")
     return "\n".join(lines)

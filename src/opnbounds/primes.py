@@ -99,7 +99,9 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> list:
-    """Sorted prime factors of n >= 1, with multiplicity; factorize(1) == []."""
+    """Sorted prime factors of n >= 1, with multiplicity; factorize(1) == [].
+    Raises ValueError rather than report a cofactor of at least PSI_13 as
+    prime."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     factors = []
@@ -121,6 +123,10 @@ def factorize(n: int) -> list:
         if m == 1:
             continue
         if is_prime(m):
+            # is_prime's True is proven only below PSI_13; its False always is
+            if m >= PSI_13:
+                raise ValueError(f"cofactor {m} is at least PSI_13, where "
+                                 "primality is not proven")
             factors.append(m)
             continue
         g = _brent_rho(m)

@@ -29,9 +29,11 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   det B by (B^-1 a_c)[r] = p/D, so by induction from det I = 1, D = |det B|
   after each pivot. Then D * B^-1 = +-adj(B), an integer matrix by Cramer's
   rule, and the new rows are D' * B'^-1 [A | b], so they are integers.
-- The objective row holds L*D times the reduced costs, L the lcm of the
-  cost denominators; it is L*c*D - (L*c_B) * T, integral for the same
-  reason, and takes the same update.
+- The objective row is the tableau's last row. It holds L*D times the
+  reduced costs, L the lcm of the cost denominators, and minus L*D times
+  the objective's value as its rhs; it is L*(c | 0)*D - (L*c_B) * T,
+  integral for the same reason. A pivot updates it like any other row
+  but r, and one pricing step, price(), sets it in either phase.
 - The pivots are the Fraction tableau's. Scaling a row, or a column by a
   positive factor, keeps the sign of every reduced cost and the order of
   every ratio b_i / a_i, ties included; the ratio test compares
@@ -45,9 +47,10 @@ The two phases are separate calls. feasible() runs phase 1, which reads no
 objective, and returns the feasible tableau; solve() runs phase 2 on a copy
 of it. A caller minimising many objectives over the same rows (lp does, one
 per slope) runs phase 1 once and passes its tableau to every solve. That
-changes no answer: phase 2 reads only the tableau, never phase 1's objective
-row, and Bland's rule picks the same pivots from the same tableau, so each
-solve ends at the same basis, x and duals as a solve from scratch.
+changes no answer: phase 2 reads only the constraint rows, since price()
+replaces phase 1's objective row, and Bland's rule picks the same pivots
+from the same tableau, so each solve ends at the same basis, x and duals as
+a solve from scratch.
 """
 from __future__ import annotations
 
@@ -94,54 +97,37 @@ def _scaled(values):
 
 class _Tableau:
     def __init__(self, rows, relations, rhs, n):
-        m = len(rows)
         self.n = n
+        self.sigma = [-1 if v < 0 else 1 for v in rhs]  # flips that make rhs >= 0
         # column layout: structural 0..n-1, then one surplus per GE row,
         # then artificials; Bland therefore prefers structural columns in
-        # their declaration order
-        self.surplus_col = {}
-        col = n
-        for i, rel in enumerate(relations):
-            if rel == GE:
-                self.surplus_col[i] = col
-                col += 1
-        self.sigma = [1] * m        # row flips applied to make rhs nonnegative
-        self.scale = [1] * m        # s_i: input row i times s_i is integral
-        body = []
-        b = []
-        for i in range(m):
-            self.scale[i], ints = _scaled(list(rows[i]) + [rhs[i]])
-            bi = ints.pop()
-            row = ints + [0] * (col - n)
+        # their declaration order. The start basis is the surplus column
+        # where the flip made it +1, an artificial everywhere else
+        ge = [i for i, rel in enumerate(relations) if rel == GE]
+        self.surplus_col = {i: n + k for k, i in enumerate(ge)}
+        self.first_art = n + len(ge)
+        art = [i for i, sign in enumerate(self.sigma)
+               if sign == 1 or i not in self.surplus_col]
+        self.art_col = {i: self.first_art + k for k, i in enumerate(art)}
+        self.total = self.first_art + len(art)
+        self.scale = []             # s_i: input row i times s_i is integral
+        self.rows = []
+        self.b = []
+        self.basis = []
+        for i, sign in enumerate(self.sigma):
+            s, ints = _scaled(list(rows[i]) + [rhs[i]])
+            self.scale.append(s)
+            self.b.append(sign * ints.pop())
+            row = [sign * v for v in ints] + [0] * (self.total - n)
             if i in self.surplus_col:
-                row[self.surplus_col[i]] = -1
-            if bi < 0:
-                row = [-v for v in row]
-                bi = -bi
-                self.sigma[i] = -1
-            body.append(row)
-            b.append(bi)
-        # initial basis: the surplus column where the flip made it +1,
-        # an artificial everywhere else
-        self.art_col = {}
-        basis = []
-        for i in range(m):
-            if self.sigma[i] == -1 and i in self.surplus_col:
-                basis.append(self.surplus_col[i])
-            else:
-                self.art_col[i] = col
-                basis.append(col)
-                col += 1
-        self.total = col
-        for i in range(m):
-            body[i].extend([0] * (col - len(body[i])))
+                row[self.surplus_col[i]] = -sign
             if i in self.art_col:
-                body[i][self.art_col[i]] = 1
-        self.rows = body
-        self.b = b
+                row[self.art_col[i]] = 1
+            self.basis.append(self.art_col.get(i, self.surplus_col.get(i)))
+            self.rows.append(row)
+        self.rows.append([0] * self.total)  # the objective row, set by price()
+        self.b.append(0)
         self.d = 1                  # the common denominator D
-        self.basis = basis
-        self.first_art = min(self.art_col.values()) if self.art_col else col
 
     def copy(self) -> _Tableau:
         """A twin whose pivots leave this tableau as it is."""
@@ -151,9 +137,23 @@ class _Tableau:
         twin.basis = self.basis[:]
         return twin
 
-    def pivot(self, r, c, z, zrhs):
-        """Fraction-free pivot on (r, c), updating the objective row z in
-        place; returns the objective's new rhs."""
+    def price(self, cost):
+        """Make the objective row minimise sum(cost[j] * x_j), one int cost
+        per column: D times the reduced costs, and minus D times the
+        objective's value as its rhs."""
+        z = [self.d * v for v in cost]
+        value = 0
+        for row, bi, col in zip(self.rows, self.b, self.basis):
+            cb = cost[col]
+            if cb:
+                z = [zj - cb * v for zj, v in zip(z, row)]
+                value += cb * bi
+        self.rows[-1] = z
+        self.b[-1] = -value
+
+    def pivot(self, r, c):
+        """Fraction-free pivot on (r, c); every other row, the objective row
+        included, takes the same update."""
         rows, b, d = self.rows, self.b, self.d
         prow, br = rows[r], b[r]
         p = prow[c]
@@ -171,38 +171,25 @@ class _Tableau:
             elif p != d:
                 rows[i] = [p * v // d for v in row]
                 b[i] = p * b[i] // d
-        f = z[c]
-        if f:
-            z[:] = [(p * v - f * w) // d for v, w in zip(z, prow)]
-            zrhs = (p * zrhs - f * br) // d
-        elif p != d:
-            z[:] = [p * v // d for v in z]
-            zrhs = p * zrhs // d
         self.d = p
         self.basis[r] = c
-        return zrhs
 
-    def run(self, z, zrhs, entering_limit):
-        """Bland iterations until optimal or unbounded. entering_limit bounds
-        the candidate columns (artificials are barred in phase 2)."""
+    def run(self, entering_limit):
+        """Bland iterations until "optimal" or "unbounded". entering_limit
+        bounds the candidate columns (artificials are barred in phase 2)."""
         rows, b, basis = self.rows, self.b, self.basis
-        guard = 0
-        limit = _PIVOTS_PER_SIZE * (len(rows) + self.total + 1)
-        while True:
-            guard += 1
-            if guard > limit:  # Bland's rule makes this unreachable
-                raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
-            enter = -1
-            for j in range(entering_limit):
-                if z[j] < 0:
-                    enter = j
+        limit = _PIVOTS_PER_SIZE * (len(basis) + self.total + 1)
+        for _ in range(limit):
+            z = rows[-1]
+            for enter in range(entering_limit):
+                if z[enter] < 0:
                     break
-            if enter < 0:
-                return "optimal", zrhs
+            else:
+                return "optimal"
             # least ratio b_i / a_i over a_i > 0, ties to the least basic column
             leave = -1
-            for i, row in enumerate(rows):
-                a = row[enter]
+            for i in range(len(basis)):
+                a = rows[i][enter]
                 if a <= 0:
                     continue
                 if leave >= 0:
@@ -212,8 +199,10 @@ class _Tableau:
                         continue
                 leave = i
             if leave < 0:
-                return "unbounded", zrhs
-            zrhs = self.pivot(leave, enter, z, zrhs)
+                return "unbounded"
+            self.pivot(leave, enter)
+        # Bland's rule makes this unreachable
+        raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
 
 
 def feasible(rows, relations, rhs) -> _Tableau | None:
@@ -228,19 +217,15 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
         # minimize the artificial sum; artificial i stands for s_i times the
         # input row's, so it costs unit / s_i (unit is the docstring's M)
         unit = lcm(*(tb.scale[i] for i in tb.art_col))
-        z = [0] * tb.total
-        zrhs = 0
-        for i, col in tb.art_col.items():  # each is basic in its own row
-            w = unit // tb.scale[i]
-            z[col] += w
-            z = [zj - w * v for zj, v in zip(z, tb.rows[i])]
-            zrhs -= w * tb.b[i]
-        state, zrhs = tb.run(z, zrhs, tb.total)
-        if state != "optimal":
+        cost = [0] * tb.total
+        for i, col in tb.art_col.items():
+            cost[col] = unit // tb.scale[i]
+        tb.price(cost)
+        if tb.run(tb.total) != "optimal":
             raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
-        if zrhs != 0:
+        if tb.b[-1]:
             return None
-        _drive_out_artificials(tb, z)
+        _drive_out_artificials(tb)
     return tb
 
 
@@ -263,15 +248,8 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
 
     # phase 2: the real objective over the feasible tableau, as unit*D times
     # the reduced costs
-    z = [tb.d * v for v in c] + [0] * (tb.total - n)
-    zrhs = 0
-    for i, row in enumerate(tb.rows):
-        cb = c[tb.basis[i]] if tb.basis[i] < n else 0
-        if cb:
-            z = [zj - cb * v for zj, v in zip(z, row)]
-            zrhs -= cb * tb.b[i]
-    state, zrhs = tb.run(z, zrhs, tb.first_art)
-    if state == "unbounded":
+    tb.price(c + [0] * (tb.total - n))
+    if tb.run(tb.first_art) == "unbounded":
         return SimplexResult(Status.UNBOUNDED)
 
     # back to Fractions; zeros add nothing to either side of the duality check
@@ -282,6 +260,7 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
             x[col] = Fraction(tb.b[i], tb.d)
             value += objective[col] * x[col]
 
+    z = tb.rows[-1]
     duals = [_ZERO] * m
     paid = _ZERO
     per_dual = unit * tb.d
@@ -301,7 +280,7 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
     return SimplexResult(Status.OPTIMAL, value, x, duals)
 
 
-def _drive_out_artificials(tb: _Tableau, z) -> None:
+def _drive_out_artificials(tb: _Tableau) -> None:
     """After a zero-value phase 1, pivot basic artificials out (or drop the
     row as redundant when its structural part vanished). A dropped row is 0
     in every column a later pivot can enter, so the kept rows and the
@@ -310,7 +289,7 @@ def _drive_out_artificials(tb: _Tableau, z) -> None:
     so solve() reads a dual of 0 for that input row."""
     art_cols = set(tb.art_col.values())
     r = 0
-    while r < len(tb.rows):
+    while r < len(tb.basis):
         if tb.basis[r] in art_cols:
             pivot_col = -1
             for j in range(tb.first_art):
@@ -320,7 +299,7 @@ def _drive_out_artificials(tb: _Tableau, z) -> None:
             if pivot_col >= 0:
                 # rhs of a basic-artificial row is 0 here, so feasibility
                 # survives pivoting on either sign
-                tb.pivot(r, pivot_col, z, 0)
+                tb.pivot(r, pivot_col)
             else:
                 del tb.rows[r]
                 del tb.b[r]

@@ -94,3 +94,14 @@ def test_psi_13_fools_is_prime():
     # the proven range of is_prime ends at PSI_13, a composite it calls prime
     assert PSI_13 == 1287836182261 * 2575672364521
     assert is_prime(PSI_13)
+
+
+def test_factorize_refuses_an_unproven_prime_cofactor():
+    # past PSI_13 a True from is_prime proves nothing, so factorize raises
+    # rather than report PSI_13 itself as a prime factor
+    for n in (PSI_13, 4 * PSI_13):
+        with pytest.raises(ValueError, match="at least PSI_13"):
+            factorize(n)
+    # a composite verdict is always right, so big inputs still split
+    assert factorize(2**100) == [2] * 100
+    assert factorize(PSI_12) == [399165290221, 798330580441]

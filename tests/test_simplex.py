@@ -154,14 +154,16 @@ def _traced_solve(module, rows, relations, rhs, objective):
     trace = []
     pivot, run = module._Tableau.pivot, module._Tableau.run
 
-    def traced_pivot(self, r, c, z, zrhs):
+    # each forwards whatever arguments its tableau's method takes: the
+    # oracle's also pass the objective row and return its rhs from run
+    def traced_pivot(self, r, c, *rest):
         trace.append(("pivot", r, c, self.rows[r][c] > 0))
-        return pivot(self, r, c, z, zrhs)
+        return pivot(self, r, c, *rest)
 
-    def traced_run(self, z, zrhs, entering_limit):
-        state, zrhs = run(self, z, zrhs, entering_limit)
-        trace.append((state, self.basis[:]))
-        return state, zrhs
+    def traced_run(self, *args):
+        out = run(self, *args)
+        trace.append((out if isinstance(out, str) else out[0], self.basis[:]))
+        return out
 
     with mock.patch.object(module._Tableau, "pivot", traced_pivot), \
             mock.patch.object(module._Tableau, "run", traced_run):

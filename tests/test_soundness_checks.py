@@ -1,5 +1,8 @@
 """The soundness checks must survive python -O, which strips assert."""
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import pytest
 
 import opnbounds
 from opnbounds import enumeration, lp, simplex
-from opnbounds.model import Case, build_system
+from opnbounds.model import Case, Var, build_system
 
 
 def test_package_has_no_assert_statement():
@@ -43,3 +46,57 @@ def test_pivot_limit_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
     with pytest.raises(RuntimeError, match="pivot limit of 0 exceeded"):
         simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1])
+
+
+def test_minimize_raises_naming_the_row_a_witness_breaks(monkeypatch):
+    system = build_system(Case.THREE_COPRIME)
+    solve = simplex.solve
+
+    def lowered_omega(*args, **kwargs):
+        # Omega - 1 breaks omega_lower, the only row that reads Omega
+        result = solve(*args, **kwargs)
+        result.x[Var.Omega] -= 1
+        return result
+
+    monkeypatch.setattr(lp.simplex, "solve", lowered_omega)
+    with pytest.raises(RuntimeError, match="simplex witness violates constraint omega_lower: -1$"):
+        lp.best_constant(system, Fraction(2))
+
+
+_UNDER_O = """
+import sys
+from fractions import Fraction
+from opnbounds import lp, simplex
+from opnbounds.model import Case, build_system
+
+print("optimize", sys.flags.optimize)
+real = lp.verify_certificate
+
+def tampered(system, cert):
+    report = real(system, cert)
+    report.derived_constant += 1
+    return report
+
+lp.verify_certificate = tampered
+try:
+    lp.best_constant(build_system(Case.THREE_COPRIME), Fraction(2))
+except RuntimeError as exc:
+    print(exc)
+simplex._PIVOTS_PER_SIZE = 0
+try:
+    simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1])
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_checks_raise_under_python_O():
+    src = Path(opnbounds.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("certificate gives ")
+    assert lines[2].startswith("pivot limit of 0 exceeded")
+    assert len(lines) == 3
