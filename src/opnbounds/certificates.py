@@ -14,9 +14,8 @@ certificate cannot lean on an assumption (such as f3 >= 2) it does not state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .linexpr import combine
 from .model import Case, ConstraintSystem, Relation, Var, build_system
@@ -30,8 +29,7 @@ class CertificateFormatError(ValueError):
     """Raised when a certificate file does not match the schema."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     case: Case
     include_f3_min2: bool
     multipliers: Mapping  # constraint name -> Fraction
@@ -42,15 +40,14 @@ class Certificate:
         return build_system(self.case, self.include_f3_min2)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     failure_reason: str | None
     derived_slope: Fraction | None
     derived_constant: Fraction | None
     # coefficient after normalization for every variable except Omega, omega;
     # empty when verification failed before the combination was formed
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
 
     @property
     def verdict(self) -> str:
@@ -61,7 +58,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
     """Check a certificate against a system; never raises on bad certificates."""
 
     def fail(reason):
-        return VerificationReport(False, reason, None, None)
+        return VerificationReport(False, reason, None, None, {})
 
     if cert.case is not system.case:
         return fail(f"system mismatch: certificate targets {cert.case.value}, "
@@ -91,22 +88,17 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
     report = VerificationReport(True, None, derived_slope, derived_constant, residuals)
 
     if derived_slope != cert.claimed_slope:
-        report.passed = False
-        report.failure_reason = (
+        return report._replace(passed=False, failure_reason=(
             f"slope mismatch: derived {format_rational(derived_slope)}, "
-            f"claimed {format_rational(cert.claimed_slope)}")
-        return report
+            f"claimed {format_rational(cert.claimed_slope)}"))
     for var in Var:
         if var in residuals and residuals[var] > 0:
-            report.passed = False
-            report.failure_reason = f"positive residual: {var.name}"
-            return report
+            return report._replace(passed=False,
+                                   failure_reason=f"positive residual: {var.name}")
     if derived_constant < cert.claimed_constant:
-        report.passed = False
-        report.failure_reason = (
+        return report._replace(passed=False, failure_reason=(
             f"constant shortfall: derived {format_rational(derived_constant)}, "
-            f"claimed {format_rational(cert.claimed_constant)}")
-        return report
+            f"claimed {format_rational(cert.claimed_constant)}"))
     return report
 
 

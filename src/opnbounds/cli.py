@@ -41,6 +41,11 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _slope_list(text: str) -> list:
+    """The slopes of a comma-separated list; blank entries are skipped."""
+    return [parse_rational(part.strip()) for part in text.split(",") if part.strip()]
+
+
 def _system_from(args):
     return build_system(Case(args.system), args.f3_min2 == "on")
 
@@ -121,8 +126,7 @@ def cmd_optimize(args) -> int:
 def cmd_frontier(args) -> int:
     system = _system_from(args)
     try:
-        slopes = [parse_rational(part.strip())
-                  for part in args.slopes.split(",") if part.strip()]
+        slopes = _slope_list(args.slopes)
     except ValueError as exc:
         return _error(exc)
     rows = []
@@ -264,6 +268,38 @@ _COMMANDS = (
 )
 
 
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+# flags whose value may start with "-", with the parse the value must pass
+_SIGNED = {"--slope": parse_rational, "--slopes": _slope_list}
+
+
+def _join_signed_values(argv: list) -> list:
+    """argv with "--slope -5/6" spelled "--slope=-5/6", and likewise for
+    --slopes, where the command takes the flag and the next token parses.
+
+    argparse reads a token such as "-5/6" as an option and stops with
+    "expected one argument"; joining it to its flag keeps it a value. Any
+    other token is left as it is, so every other usage error is too.
+    """
+    taken = {flag for name, _, _, arguments in _COMMANDS if argv and name == argv[0]
+             for flag, _ in arguments if flag in _SIGNED}
+    out, i = [], 0
+    while i < len(argv) and argv[i] != "--":
+        token, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if token in taken and value.startswith("-") and _parses(_SIGNED[token], value):
+            token, i = f"{token}={value}", i + 1
+        out.append(token)
+        i += 1
+    return out + argv[i:]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opnbounds",
@@ -280,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -84,11 +84,10 @@ R = u + s21 and Q = t + s21 + s31 + 1 its rows are
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from numbers import Rational
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import Case, ConstraintSystem, Var
 from .workers import effective_jobs, run_chunks
@@ -106,8 +105,7 @@ def is_feasible(system: ConstraintSystem, point: Mapping) -> bool:
     return system.first_violated(point) is None
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     minimum: Fraction | None     # None when the box holds no feasible point
     witness: dict | None         # Var -> int, lexicographically least minimizer
 

@@ -15,9 +15,9 @@ oracles in tests/nt_bruteforce.py.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .primes import PSI_13, factorize, is_prime, odd_prime_flags, sieve
 from .workers import effective_jobs, run_chunks
@@ -30,8 +30,7 @@ CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 _SEGMENT = 1 << 18
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(NamedTuple):
     prime: int
     residue: int          # prime mod 3
     sigma: int            # prime^2 + prime + 1
@@ -69,8 +68,7 @@ def classify_prime(p: int) -> PrimeClass:
     return PrimeClass(p, p % 3, sigma, tuple(factorize(sigma)))
 
 
-@dataclass(frozen=True)
-class SharedPrimes:
+class SharedPrimes(NamedTuple):
     a: int
     b: int
     common: tuple              # distinct primes dividing both sigma values
@@ -170,8 +168,7 @@ def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
 
 
-@dataclass(frozen=True)
-class Lemma1Violation:
+class Lemma1Violation(NamedTuple):
     a: int
     b: int
     p: int
@@ -226,8 +223,7 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     return sorted(violations, key=lambda v: (v.a, v.b, v.p))
 
 
-@dataclass(frozen=True)
-class Lemma2Solution:
+class Lemma2Solution(NamedTuple):
     p: int
     q: int
     r: int

@@ -7,10 +7,10 @@ optimal dual multipliers form a Certificate proving exactly that bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from typing import NamedTuple
 
 from . import simplex
 from .certificates import Certificate, verify_certificate
@@ -23,8 +23,7 @@ class UnboundedSlopeError(ValueError):
     """The objective Omega - slope*omega has no finite minimum."""
 
 
-@dataclass
-class LPSolution:
+class LPSolution(NamedTuple):
     status: simplex.Status
     value: Fraction | None = None
     primal: dict | None = None        # Var -> Fraction, optimal only
@@ -35,8 +34,7 @@ class LPSolution:
         return self.status is simplex.Status.OPTIMAL
 
 
-@dataclass
-class SlopeBound:
+class SlopeBound(NamedTuple):
     slope: Fraction
     constant: Fraction
     certificate: Certificate
@@ -106,8 +104,7 @@ def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     return SlopeBound(slope, solution.value, cert, solution.primal)
 
 
-@dataclass
-class FrontierRow:
+class FrontierRow(NamedTuple):
     slope: Fraction
     constant: Fraction | None          # None when the slope is unbounded
     certificate: Certificate | None

@@ -26,10 +26,9 @@ prime to omega; optionally also the sharpening f3 >= 2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .linexpr import LinExpr
 from .rationals import format_rational
@@ -73,16 +72,14 @@ class Relation(Enum):
     EQ = "= 0"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str        # stable snake_case id, the key certificates use
     label: str       # table equation label, e.g. "Eq. 9"; "case" for the split extras
     relation: Relation
     body: LinExpr    # relation applies to the body: body >= 0 or body = 0
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     case: Case
     include_f3_min2: bool
     constraints: tuple

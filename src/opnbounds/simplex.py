@@ -55,11 +55,11 @@ a solve from scratch.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from typing import NamedTuple
 
 _ZERO = Fraction(0)
 # run() gives up after this many pivots per row and column of the tableau
@@ -75,8 +75,7 @@ class Status(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass
-class SimplexResult:
+class SimplexResult(NamedTuple):
     status: Status
     value: Fraction | None = None   # c . x at the optimum
     x: list | None = None           # structural variable values

@@ -2,11 +2,12 @@
 
 A scan splits its input into chunks, maps a pure top-level function over
 them (serially, or on a process pool when jobs > 1), and merges in chunk
-order, so the worker count never changes any result.
+order, so the worker count never changes any result. The pool module is
+imported only when a scan runs on more than one worker, so a process that
+never fans out does not pay for it.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 
@@ -29,5 +30,6 @@ def run_chunks(fn, chunks: list, jobs: int | None) -> list:
     jobs = effective_jobs(jobs, len(chunks))
     if jobs == 1:
         return [fn(chunk) for chunk in chunks]
+    import multiprocessing
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, chunks)

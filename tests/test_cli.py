@@ -468,6 +468,25 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "optimize", "--slope", "2")[0] == 2  # --system missing
 
 
+def test_negative_slope_as_its_own_token(capsys):
+    for command, flag, value, rest in (
+            ("optimize", "--slope", "-5/6", ()),
+            ("scan", "--slope", "-5/6", ("--box", "3", "--jobs", "1")),
+            ("frontier", "--slopes", "-1,2", ())):
+        spaced = run(capsys, command, "--system", "three_coprime", flag, value, *rest)
+        joined = run(capsys, command, "--system", "three_coprime", f"{flag}={value}", *rest)
+        assert spaced == joined and spaced[0] == 0
+    assert run(capsys, "optimize", "--system", "three_coprime", "--slope", "-5/6") == \
+        (0, "11/6\n", "")
+    # a token that is no slope is still read as an option
+    for argv in (("optimize", "--system", "three_coprime", "--slope", "--format", "json"),
+                 ("optimize", "--system", "three_coprime", "--slope", "-1,2"),
+                 ("frontier", "--system", "three_coprime", "--slopes", "-1,x")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[3]}: expected one argument\n")
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "frontier", "--help")[0] == 0

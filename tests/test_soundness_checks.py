@@ -27,8 +27,7 @@ def test_best_constant_raises_when_its_certificate_fails(monkeypatch):
 
     def tampered(system, cert):
         report = real(system, cert)
-        report.derived_constant += 1
-        return report
+        return report._replace(derived_constant=report.derived_constant + 1)
 
     monkeypatch.setattr(lp, "verify_certificate", tampered)
     with pytest.raises(RuntimeError, match="certificate gives"):
@@ -74,8 +73,7 @@ real = lp.verify_certificate
 
 def tampered(system, cert):
     report = real(system, cert)
-    report.derived_constant += 1
-    return report
+    return report._replace(derived_constant=report.derived_constant + 1)
 
 lp.verify_certificate = tampered
 try:
