@@ -10,17 +10,28 @@ constant >= 0 holds at every feasible point, which proves the claim whenever
 the derived constant is at least the claimed one. Every multiplier must
 also name a row of the system the certificate's own header declares, so a
 certificate cannot lean on an assumption (such as f3 >= 2) it does not state.
+
+The combination runs on integer rows. Row i is its integer form over a
+scale s_i (LinExpr.integer_form), so multiplier n_i/d_i weighs that form by
+n_i/(d_i*s_i). With L the lcm of the d_i*s_i, every weight times L is an
+int, and the integer sum is L times the combination. No Fraction is formed
+until the report: the derived slope, constant and residuals are the summed
+ints divided by the summed Omega coefficient, whose sign is the combined
+Omega coefficient's. A multiplier that is not a numbers.Rational raises
+TypeError naming it.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Mapping, NamedTuple
 
-from .linexpr import combine
 from .model import Case, ConstraintSystem, Relation, Var, build_system
 from .rationals import format_rational, parse_rational
 
+_ZERO = Fraction(0)
 _SCHEMA_FIELDS = ("system", "include_f3_min2", "multipliers",
                   "claimed_slope", "claimed_constant")
 
@@ -55,7 +66,9 @@ class VerificationReport(NamedTuple):
 
 
 def verify_certificate(system: ConstraintSystem, cert: Certificate) -> VerificationReport:
-    """Check a certificate against a system; never raises on bad certificates."""
+    """Check a certificate against a system; a bad certificate fails the
+    report and never raises, but a multiplier that is not a
+    numbers.Rational raises TypeError."""
 
     def fail(reason):
         return VerificationReport(False, reason, None, None, {})
@@ -75,16 +88,30 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
         if by_name[name].relation is Relation.GE and multiplier < 0:
             return fail(f"illegal multiplier sign: {name}")
 
-    total = combine((m, by_name[name].body) for name, m in cert.multipliers.items())
-    omega_coeff = total.coeff(Var.Omega)
+    # (n_i, d_i * s_i, integer row) per nonzero multiplier; see the docstring
+    weighted = []
+    for name, m in cert.multipliers.items():
+        if not isinstance(m, Rational):
+            raise TypeError(f"multiplier {m!r} is not a rational number")
+        if m:
+            s, terms, constant = by_name[name].body.integer_form()
+            weighted.append((m.numerator, m.denominator * s, terms, constant))
+    unit = lcm(*[den for _, den, _, _ in weighted])
+    coeffs = dict.fromkeys(Var, 0)
+    total_constant = 0
+    for num, den, terms, constant in weighted:
+        w = num * (unit // den)
+        for var, c in terms:
+            coeffs[var] += w * c
+        total_constant += w * constant
+    omega_coeff = coeffs[Var.Omega]
     if omega_coeff <= 0:
         return fail("no Omega contribution")
-    normalized = total.scaled(Fraction(1) / omega_coeff)
 
-    derived_slope = -normalized.coeff(Var.omega)
-    derived_constant = -normalized.constant
-    residuals = {v: normalized.coeff(v) for v in Var
-                 if v is not Var.Omega and v is not Var.omega}
+    derived_slope = Fraction(-coeffs[Var.omega], omega_coeff)
+    derived_constant = Fraction(-total_constant, omega_coeff)
+    residuals = {v: Fraction(coeffs[v], omega_coeff) if coeffs[v] else _ZERO
+                 for v in Var if v is not Var.Omega and v is not Var.omega}
     report = VerificationReport(True, None, derived_slope, derived_constant, residuals)
 
     if derived_slope != cert.claimed_slope:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from enum import Enum, IntEnum
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .linexpr import LinExpr
@@ -92,9 +94,23 @@ class ConstraintSystem(NamedTuple):
 
     def first_violated(self, point: Mapping) -> Constraint | None:
         """The first constraint that does not hold exactly at the point, or
-        None when all hold; the point assigns every variable a body reads."""
+        None when all hold; the point assigns every variable a body reads.
+
+        Every coordinate must be a numbers.Rational; anything else, a float
+        in particular, raises TypeError naming its variable. Each body is
+        checked as the sign of its integer form over the point's numerators,
+        with the point's denominators cleared once."""
+        for var, value in point.items():
+            if not isinstance(value, Rational):
+                raise TypeError(f"coordinate {value!r} of {var!r} is not a rational number")
+        unit = lcm(*[value.denominator for value in point.values()])
+        scaled = {var: value.numerator * (unit // value.denominator)
+                  for var, value in point.items()}
         for c in self.constraints:
-            body = c.body.evaluate(point)
+            _, terms, constant = c.body.integer_form()
+            body = constant * unit
+            for var, coeff in terms:
+                body += coeff * scaled[var]
             if body < 0 or (body and c.relation is Relation.EQ):
                 return c
         return None

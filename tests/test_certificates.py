@@ -1,4 +1,6 @@
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +10,10 @@ from opnbounds.certificates import (Certificate, CertificateFormatError,
                                     certificate_from_dict, certificate_to_dict,
                                     load_certificate, save_certificate,
                                     verify_certificate)
-from opnbounds.lp import best_constant
+from opnbounds.lp import best_constant, frontier
 from opnbounds.model import Case, Var, build_system
+
+import certificate_fraction_oracle as oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "certificates"
 
@@ -143,6 +147,67 @@ def test_slope_mismatch_and_positive_residual():
     report = verify_certificate(NO3, broken)
     assert not report.passed
     assert report.failure_reason.startswith("positive residual")
+
+
+def test_non_rational_multiplier_raises_type_error_naming_it():
+    cert = fixture_a()
+    for name, bad in (("omega_lower", 1.0), ("s21_zero", Decimal("-1"))):
+        tampered = cert._replace(multipliers=dict(cert.multipliers, **{name: bad}))
+        with pytest.raises(TypeError, match=f"^{re.escape(f'multiplier {bad!r}')} is not a rational number$"):
+            verify_certificate(NO3, tampered)
+
+
+SETTINGS = {"three_coprime": NO3, "three_divides": WITH3,
+            "f3_min2": build_system(Case.THREE_DIVIDES, True)}
+SWEEP = sorted({Fraction(k, d) for d in range(1, 9) for k in range(-d, 4 * d + 1)})
+
+
+def _assert_same_report(system, cert):
+    got = verify_certificate(system, cert)
+    want = oracle.verify_certificate(system, cert)
+    assert got == want, cert
+    assert type(got.derived_slope) is type(want.derived_slope)
+    assert type(got.derived_constant) is type(want.derived_constant)
+    assert list(got.residuals) == list(want.residuals)
+    assert all(type(value) is Fraction for value in got.residuals.values())
+    return got
+
+
+def _tampered(cert):
+    """The certificate with one edit each: a multiplier doubled, negated or
+    dropped, the claimed slope or constant moved, the other case, the f3 >= 2
+    flag flipped, or a row name no system has."""
+    for name, m in cert.multipliers.items():
+        for changed in (2 * m, -m):
+            yield cert._replace(multipliers=dict(cert.multipliers, **{name: changed}))
+        yield cert._replace(multipliers={k: v for k, v in cert.multipliers.items()
+                                         if k != name})
+    for delta in (Fraction(1, 7), Fraction(-1, 7)):
+        yield cert._replace(claimed_slope=cert.claimed_slope + delta)
+        yield cert._replace(claimed_constant=cert.claimed_constant + delta)
+    other = Case.THREE_DIVIDES if cert.case is Case.THREE_COPRIME else Case.THREE_COPRIME
+    yield cert._replace(case=other)
+    yield cert._replace(include_f3_min2=not cert.include_f3_min2)
+    yield cert._replace(multipliers=dict(cert.multipliers, no_such_row=Fraction(1)))
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_integer_verifier_matches_fraction_oracle(setting):
+    """Every report field over a frontier sweep, and over tampered copies of
+    every third certificate checked against all three systems, equals the
+    Fraction verifier's."""
+    system = SETTINGS[setting]
+    certs = [row.certificate for row in frontier(system, SWEEP) if row.certificate]
+    assert len(certs) > len(SWEEP) // 2
+    reasons = set()
+    for cert in certs:
+        assert _assert_same_report(system, cert).passed
+    for cert in certs[::3]:
+        for bad in _tampered(cert):
+            for target in SETTINGS.values():
+                reasons.add(str(_assert_same_report(target, bad).failure_reason).split(":")[0])
+    assert {"slope mismatch", "positive residual", "constant shortfall", "system mismatch",
+            "unknown constraint", "illegal multiplier sign"} <= reasons
 
 
 def test_round_trip(tmp_path):

@@ -1,6 +1,11 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +92,37 @@ def test_combine_rejects_non_rationals():
     for bad in (0.5, 0.0, Decimal(1)):
         with pytest.raises(TypeError, match="multiplier .* is not a rational number"):
             combine([(1, row), (bad, row)])
+
+
+def test_integer_form_is_the_expression_over_its_scale():
+    expr = LinExpr({Var.s: Fraction(-2, 3), Var.e: Fraction(5, 4), Var.t: 7}, Fraction(-1, 6))
+    scale, terms, constant = expr.integer_form()
+    assert scale == 12 and constant == -2
+    assert terms == ((Var.s, -8), (Var.e, 15), (Var.t, 84))
+    assert LinExpr({v: Fraction(c, scale) for v, c in terms}, Fraction(constant, scale)) == expr
+    assert LinExpr({Var.e: 2}, 3).integer_form() == (1, ((Var.e, 2),), 3)
+    assert LinExpr().integer_form() == (1, (), 0)
+
+
+_UNPICKLE = """
+import pickle, sys
+expr = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = type(expr)(dict(expr.terms), expr.constant)
+print(hash(expr) == hash(fresh), {expr: 1}.get(fresh), expr.integer_form())
+"""
+
+
+def test_pickle_carries_no_cached_hash_or_integer_form():
+    """A hash of str keys holds under one PYTHONHASHSEED only, so a pickle
+    rebuilds from terms and constant."""
+    expr = LinExpr({"alpha": Fraction(1, 2), "beta": -3}, 1)
+    hash(expr), expr.integer_form()
+    copy = pickle.loads(pickle.dumps(expr))
+    assert copy == expr and hash(copy) == hash(expr)
+    src = Path(__file__).resolve().parents[1] / "src"
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _UNPICKLE], input=pickle.dumps(expr).hex(),
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True 1 (2, (('alpha', 1), ('beta', -6)), 2)\n"

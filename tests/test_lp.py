@@ -246,3 +246,28 @@ def test_frontier_runs_phase_one_once_per_system(monkeypatch):
     best_constant(NO3, Fraction(8, 3))   # a later call reuses the tableau too
     lp._standard_form.cache_clear()
     assert calls == {"feasible": 3, "solve": 3 * len(SWEEP) + 1}
+
+
+@pytest.mark.parametrize("ablated_first", [True, False])
+def test_hand_built_system_never_shares_a_cached_form(ablated_first):
+    """A system without Eq. 10 loses the slope 8/3 (its tip is Ochem and
+    Rao's 18/7); the full system keeps it, whichever is solved first."""
+    ablated = NO3._replace(constraints=tuple(
+        c for c in NO3.constraints if c.name != "s1_s22_upper"))
+    assert ablated.case is NO3.case and ablated.include_f3_min2 == NO3.include_f3_min2
+
+    def check_ablated():
+        with pytest.raises(UnboundedSlopeError):
+            best_constant(ablated, Fraction(8, 3))
+        assert best_constant(ablated, Fraction(18, 7)).constant == Fraction(-15, 7)
+
+    def check_full():
+        assert best_constant(build_system(Case.THREE_COPRIME), Fraction(8, 3)).constant \
+            == Fraction(-7, 3)
+
+    lp._standard_form.cache_clear()
+    for check in ((check_ablated, check_full) if ablated_first
+                  else (check_full, check_ablated)):
+        check()
+    check_ablated()
+    check_full()

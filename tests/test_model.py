@@ -3,6 +3,9 @@ they are pinned here against an independently hard-coded copy, not rebuilt
 through any shared helper."""
 from fractions import Fraction
 
+import pytest
+
+from opnbounds.enumeration import is_feasible
 from opnbounds.model import (Case, Relation, Var, build_system,
                              describe_system, render_bound, render_linexpr)
 
@@ -106,6 +109,25 @@ def test_trivial_witness_satisfies_three_coprime():
     for c in build_system(Case.THREE_COPRIME).constraints:
         value = c.body.evaluate(zero)
         assert value == 0 if c.relation is EQ else value >= 0, c.name
+
+
+def test_first_violated_rejects_float_coordinates():
+    """A feasible point where s1 + s2 + s3 = s = 2^53 + 2 exactly; as
+    floats, 1.0 + 2^53 + 1.0 rounds to 2^53, so a float check would report
+    s_breakdown broken from rounding alone."""
+    big = 2 ** 53
+    point = {v: 0 for v in Var}
+    point.update({Var.e: 1, Var.s: big + 2, Var.s1: 1, Var.s2: big, Var.s3: 1,
+                  Var.s21: big, Var.s32: 1, Var.f3: big,
+                  Var.Omega: 3 * big + 5, Var.omega: big + 4})
+    system = build_system(Case.THREE_DIVIDES)
+    assert system.first_violated(point) is None
+    assert system.first_violated({**point, Var.s1: Fraction(1)}) is None
+    floats = {**point, Var.s1: 1.0, Var.s2: float(big), Var.s3: 1.0}
+    with pytest.raises(TypeError, match=r"^coordinate 1\.0 of <Var\.s1: 3> is not a rational"):
+        system.first_violated(floats)
+    with pytest.raises(TypeError, match=r"coordinate .* of <Var\.s2: 4>"):
+        is_feasible(system, {**point, Var.s2: float(big)})
 
 
 def test_describe_rows():

@@ -66,7 +66,7 @@ _UNDER_O = """
 import sys
 from fractions import Fraction
 from opnbounds import lp, simplex
-from opnbounds.model import Case, build_system
+from opnbounds.model import Case, Var, build_system
 
 print("optimize", sys.flags.optimize)
 real = lp.verify_certificate
@@ -79,6 +79,33 @@ lp.verify_certificate = tampered
 try:
     lp.best_constant(build_system(Case.THREE_COPRIME), Fraction(2))
 except RuntimeError as exc:
+    print(exc)
+lp.verify_certificate = real
+solve = simplex.solve
+
+def lowered_omega(*args, **kwargs):
+    result = solve(*args, **kwargs)
+    result.x[Var.Omega] -= 1
+    return result
+
+def raised_value(*args, **kwargs):
+    result = solve(*args, **kwargs)
+    return result._replace(value=result.value + 1)
+
+for wrong in (lowered_omega, raised_value):
+    lp.simplex.solve = wrong
+    try:
+        lp.best_constant(build_system(Case.THREE_COPRIME), Fraction(2))
+    except RuntimeError as exc:
+        print(exc)
+lp.simplex.solve = solve
+try:  # a start tableau for other rhs breaks strong duality
+    simplex.solve([[1]], [simplex.GE], [2], [1], start=simplex.feasible([[1]], [simplex.GE], [1]))
+except RuntimeError as exc:
+    print(exc)
+try:
+    build_system(Case.THREE_COPRIME).first_violated({v: 0.0 for v in Var})
+except TypeError as exc:
     print(exc)
 simplex._PIVOTS_PER_SIZE = 0
 try:
@@ -96,5 +123,9 @@ def test_checks_raise_under_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1].startswith("certificate gives ")
-    assert lines[2].startswith("pivot limit of 0 exceeded")
-    assert len(lines) == 3
+    assert lines[2] == "simplex witness violates constraint omega_lower: -1"
+    assert lines[3].startswith("objective at the simplex witness is not the optimum")
+    assert lines[4] == "strong duality fails: dual value 2, primal value 1"
+    assert lines[5] == "coordinate 0.0 of <Var.e: 0> is not a rational number"
+    assert lines[6].startswith("pivot limit of 0 exceeded")
+    assert len(lines) == 7
