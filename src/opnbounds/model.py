@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from enum import Enum, IntEnum
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .linexpr import LinExpr
-from .rationals import format_rational
+from .rationals import clear_denominators, format_rational
 
 
 class Var(IntEnum):
@@ -89,9 +88,6 @@ class ConstraintSystem(NamedTuple):
     def mapping(self) -> dict:
         return {c.name: c for c in self.constraints}
 
-    def names(self) -> tuple:
-        return tuple(c.name for c in self.constraints)
-
     def first_violated(self, point: Mapping) -> Constraint | None:
         """The first constraint that does not hold exactly at the point, or
         None when all hold; the point assigns every variable a body reads.
@@ -103,9 +99,8 @@ class ConstraintSystem(NamedTuple):
         for var, value in point.items():
             if not isinstance(value, Rational):
                 raise TypeError(f"coordinate {value!r} of {var!r} is not a rational number")
-        unit = lcm(*[value.denominator for value in point.values()])
-        scaled = {var: value.numerator * (unit // value.denominator)
-                  for var, value in point.items()}
+        unit, ints = clear_denominators(point.values())
+        scaled = dict(zip(point, ints))
         for c in self.constraints:
             _, terms, constant = c.body.integer_form()
             body = constant * unit

@@ -45,12 +45,12 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
 
 The two phases are separate calls. feasible() runs phase 1, which reads no
 objective, and returns the feasible tableau; solve() runs phase 2 on a copy
-of it. A caller minimising many objectives over the same rows (lp does, one
-per slope) runs phase 1 once and passes its tableau to every solve. That
-changes no answer: phase 2 reads only the constraint rows, since price()
-replaces phase 1's objective row, and Bland's rule picks the same pivots
-from the same tableau, so each solve ends at the same basis, x and duals as
-a solve from scratch.
+of it. A caller minimising many objectives over the same rows (lp's
+frontier does, one per slope) runs phase 1 once and passes its tableau to
+every solve. That changes no answer: phase 2 reads only the constraint
+rows, since price() replaces phase 1's objective row, and Bland's rule
+picks the same pivots from the same tableau, so each solve ends at the same
+basis, x and duals as a solve from scratch.
 """
 from __future__ import annotations
 
@@ -60,6 +60,8 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from typing import NamedTuple
+
+from .rationals import clear_denominators
 
 _ZERO = Fraction(0)
 # run() gives up after this many pivots per row and column of the tableau
@@ -88,12 +90,6 @@ def _check_rational(values, name) -> None:
             raise TypeError(f"{name}[{k}] is {v!r}, not a rational number")
 
 
-def _scaled(values):
-    """The lcm of the values' denominators, and the values times it as ints."""
-    unit = lcm(*(v.denominator for v in values))
-    return unit, [v.numerator * (unit // v.denominator) for v in values]
-
-
 class _Tableau:
     def __init__(self, rows, relations, rhs, n):
         self.n = n
@@ -114,7 +110,7 @@ class _Tableau:
         self.b = []
         self.basis = []
         for i, sign in enumerate(self.sigma):
-            s, ints = _scaled(list(rows[i]) + [rhs[i]])
+            s, ints = clear_denominators([*rows[i], rhs[i]])
             self.scale.append(s)
             self.b.append(sign * ints.pop())
             row = [sign * v for v in ints] + [0] * (self.total - n)
@@ -243,7 +239,7 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
     if start.n != n:
         raise ValueError(f"objective has {n} coefficients, the rows {start.n} columns")
     tb = start.copy()
-    unit, c = _scaled(objective)
+    unit, c = clear_denominators(objective)
 
     # phase 2: the real objective over the feasible tableau, as unit*D times
     # the reduced costs

@@ -1,10 +1,10 @@
 """Deterministic fan-out helper for the embarrassingly parallel scans.
 
 A scan splits its input into chunks, maps a pure top-level function over
-them (serially, or on a process pool when jobs > 1), and merges in chunk
-order, so the worker count never changes any result. The pool module is
-imported only when a scan runs on more than one worker, so a process that
-never fans out does not pay for it.
+them (serially, or on a process pool when jobs > 1, with at most one
+worker per core), and merges in chunk order, so the worker count never
+changes any result. The pool module is imported only when a scan runs on
+more than one worker, so a process that never fans out does not pay for it.
 """
 from __future__ import annotations
 
@@ -13,12 +13,11 @@ import os
 
 def effective_jobs(jobs: int | None, work: int) -> int:
     """The worker count for work items: jobs (all cores when None), clamped
-    to [1, work]."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
+    to [1, min(cores, work)], so no pool is larger than the machine."""
+    if jobs is not None and jobs < 1:
         raise ValueError("jobs must be at least 1")
-    return max(1, min(jobs, work))
+    cores = os.cpu_count() or 1
+    return max(1, min(jobs or cores, cores, work))
 
 
 def run_chunks(fn, chunks: list, jobs: int | None) -> list:

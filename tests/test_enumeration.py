@@ -1,3 +1,4 @@
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -179,7 +180,8 @@ def test_scan_equals_pruned_loop_oracle(system, slope):
             (system.case, system.include_f3_min2, slope, box)
 
 
-def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes():
+def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
     want = bruteforce_scan(WITH3, Fraction(21, 8), 9)
     assert want.minimum == Fraction(-39, 8)
     assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=1) == want
@@ -294,7 +296,8 @@ def test_scan_rejects_inputs_of_the_wrong_type(monkeypatch):
             integer_scan(WITH3, Fraction(21, 8), box)
 
 
-def test_jobs_do_not_change_results():
+def test_jobs_do_not_change_results(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
     lone = integer_scan(NO3, Fraction(8, 3), 3, jobs=1)
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=3) == lone
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=None) == lone

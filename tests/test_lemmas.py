@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -200,7 +201,8 @@ def test_census_empty_below_first_prime():
     assert sum(empty.values()) == 0
 
 
-def test_census_worker_independent():
+def test_census_worker_independent(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
     assert bucket_census(500, jobs=3) == bucket_census(500, jobs=1)
 
 
@@ -218,6 +220,7 @@ def test_census_matches_pinned_reference_at_20000():
 
 
 def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
     # short segments put several boundaries, and several per worker, in range
     monkeypatch.setattr(lemmas, "_SEGMENT", 777)
     want = brute_census(20000)
@@ -226,6 +229,7 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
 
 
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
     # with k = 10^9 every shared prime breaks the bound, so the walk must
     # report each same-residue triple (a, b, q) of the all-pairs gcd, once,
     # q = 3 included

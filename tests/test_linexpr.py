@@ -126,3 +126,15 @@ def test_pickle_carries_no_cached_hash_or_integer_form():
                               env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True 1 (2, (('alpha', 1), ('beta', -6)), 2)\n"
+
+
+def test_pairs_input_builds_the_mapping_of_its_last_entries():
+    mapping = LinExpr({Var.e: 1, Var.s: Fraction(1, 2)}, 3)
+    assert LinExpr([(Var.e, 1), (Var.s, Fraction(1, 2))], 3) == mapping
+    assert LinExpr(iter([(Var.e, 1), (Var.s, Fraction(1, 2))]), 3) == mapping
+    # a later entry replaces an earlier one; a later zero cancels it
+    assert LinExpr([(Var.e, 5), (Var.s, 2), (Var.e, 0)]).terms == {Var.s: 2}
+    assert LinExpr([(Var.e, 0), (Var.e, 3)]).terms == {Var.e: 3}
+    assert LinExpr([(Var.e, 1), (Var.e, Fraction(2, 3))]).coeff(Var.e) == Fraction(2, 3)
+    with pytest.raises(TypeError, match=r"^coefficient 0.5 of <Var.s: 1> is not"):
+        LinExpr([(Var.e, 1), (Var.s, 0.5)])

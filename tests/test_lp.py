@@ -8,7 +8,7 @@ from opnbounds.certificates import verify_certificate
 from opnbounds.enumeration import is_feasible
 from opnbounds.linexpr import LinExpr
 from opnbounds.lp import UnboundedSlopeError, best_constant, frontier, minimize
-from opnbounds.model import Case, Relation, Var, build_system
+from opnbounds.model import Case, Constraint, Relation, Var, build_system
 from opnbounds.simplex import Status
 
 import simplex_fraction_oracle as oracle
@@ -128,7 +128,7 @@ def test_minimize_primal_is_exactly_feasible():
 def test_multiplier_map_covers_constraints():
     solution = minimize(NO3, LinExpr({Var.Omega: 1}))
     assert solution.optimal
-    assert set(solution.multipliers) <= set(NO3.names())
+    assert set(solution.multipliers) <= {c.name for c in NO3.constraints}
     for name, y in solution.multipliers.items():
         if NO3.mapping()[name].relation is Relation.GE:
             assert y >= 0, name
@@ -229,7 +229,8 @@ def test_float_slope_raises_type_error():
     assert best_constant(WITH3, 2).constant == best_constant(WITH3, Fraction(2)).constant
 
 
-def test_frontier_runs_phase_one_once_per_system(monkeypatch):
+def _count_simplex_calls(monkeypatch):
+    """Live counts of simplex.feasible (phase 1) and simplex.solve calls."""
     calls = {"feasible": 0, "solve": 0}
 
     def counted(name, fn):
@@ -238,14 +239,36 @@ def test_frontier_runs_phase_one_once_per_system(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(simplex, "feasible", counted("feasible", simplex.feasible))
-    monkeypatch.setattr(simplex, "solve", counted("solve", simplex.solve))
-    lp._standard_form.cache_clear()
+    for name in calls:
+        monkeypatch.setattr(simplex, name, counted(name, getattr(simplex, name)))
+    return calls
+
+
+def test_phase_one_runs_once_per_call(monkeypatch):
+    calls = _count_simplex_calls(monkeypatch)
     for system in (NO3, WITH3, WITH3_SHARP):
         frontier(system, SWEEP)
-    best_constant(NO3, Fraction(8, 3))   # a later call reuses the tableau too
-    lp._standard_form.cache_clear()
-    assert calls == {"feasible": 3, "solve": 3 * len(SWEEP) + 1}
+    assert calls == {"feasible": 3, "solve": 3 * len(SWEEP)}
+    frontier(NO3, SWEEP[:2])                # a second sweep over one system
+    assert calls == {"feasible": 4, "solve": 3 * len(SWEEP) + 2}
+    best_constant(NO3, Fraction(8, 3))
+    assert calls == {"feasible": 5, "solve": 3 * len(SWEEP) + 3}
+    minimize(NO3, LinExpr({Var.e: 1}))
+    assert calls == {"feasible": 6, "solve": 3 * len(SWEEP) + 4}
+
+
+def test_infeasible_system_stops_after_phase_one(monkeypatch):
+    # NO3 forces e >= 1; the extra row e = 0 leaves no feasible point
+    e_zero = Constraint("e_zero", "case", Relation.EQ, LinExpr({Var.e: 1}))
+    stuck = NO3._replace(constraints=NO3.constraints + (e_zero,))
+    calls = _count_simplex_calls(monkeypatch)
+    solution = minimize(stuck, LinExpr({Var.Omega: 1}))
+    assert solution == lp.LPSolution(Status.INFEASIBLE)
+    assert solution.primal is None and solution.multipliers is None
+    assert calls == {"feasible": 1, "solve": 0}
+    with pytest.raises(RuntimeError, match="^system unexpectedly infeasible$"):
+        best_constant(stuck, Fraction(8, 3))
+    assert calls == {"feasible": 2, "solve": 0}
 
 
 @pytest.mark.parametrize("ablated_first", [True, False])
@@ -265,7 +288,6 @@ def test_hand_built_system_never_shares_a_cached_form(ablated_first):
         assert best_constant(build_system(Case.THREE_COPRIME), Fraction(8, 3)).constant \
             == Fraction(-7, 3)
 
-    lp._standard_form.cache_clear()
     for check in ((check_ablated, check_full) if ablated_first
                   else (check_full, check_ablated)):
         check()

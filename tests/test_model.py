@@ -49,7 +49,7 @@ LABELS = {
 
 
 def _check_against(system, table):
-    assert set(system.names()) == set(table)
+    assert {c.name for c in system.constraints} == set(table)
     for c in system.constraints:
         relation, coeffs, constant = table[c.name]
         assert c.relation is relation, c.name
@@ -96,7 +96,7 @@ def test_variable_enum_is_closed_and_ordered():
 def test_names_unique_and_ordered_by_label():
     for case in Case:
         system = build_system(case, True)
-        names = system.names()
+        names = [c.name for c in system.constraints]
         assert len(set(names)) == len(names)
         numbered = [int(c.label.split()[1]) for c in system.constraints
                     if c.label.startswith("Eq.")]
