@@ -25,11 +25,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .model import Case, ConstraintSystem, Relation, Var, build_system
-from .rationals import format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _SCHEMA_FIELDS = ("system", "include_f3_min2", "multipliers",
@@ -91,8 +90,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
     # (n_i, d_i * s_i, integer row) per nonzero multiplier; see the docstring
     weighted = []
     for name, m in cert.multipliers.items():
-        if not isinstance(m, Rational):
-            raise TypeError(f"multiplier {m!r} is not a rational number")
+        m = as_rational(m, "multiplier")
         if m:
             s, terms, constant = by_name[name].body.integer_form()
             weighted.append((m.numerator, m.denominator * s, terms, constant))

@@ -128,7 +128,7 @@ def cmd_frontier(args) -> int:
     try:
         slopes = _slope_list(args.slopes)
     except ValueError as exc:
-        return _error(exc)
+        return _error(f"argument --slopes: {exc}")
     rows = []
     try:
         if args.out:

@@ -86,10 +86,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .model import Case, ConstraintSystem, Var
+from .rationals import as_rational
 from .workers import effective_jobs, run_chunks
 
 # Largest box integer_scan accepts per case. The walk visits about box^4
@@ -159,8 +159,7 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     the lexicographically least witness in declaration order. The slope
     must be a numbers.Rational and box_max an int, else TypeError; a box
     past MAX_BOX for the system's case raises ValueError before any work."""
-    if not isinstance(slope, Rational):
-        raise TypeError(f"slope {slope!r} is not a rational number")
+    slope = as_rational(slope, "slope")
     if not isinstance(box_max, int):
         raise TypeError(f"box_max {box_max!r} is not an int")
     if box_max < 0:
@@ -169,7 +168,6 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     if box_max > cap:
         raise ValueError(f"box {box_max} is larger than {cap}, the largest "
                          f"scan box for {system.case.value}")
-    slope = Fraction(slope)
     no3 = system.case is Case.THREE_COPRIME
     quarter = box_max // 4
     parts = effective_jobs(jobs, 2 * (quarter + 1) * (box_max - quarter))  # (t, u) pairs

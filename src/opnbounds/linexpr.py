@@ -3,9 +3,9 @@
 A LinExpr is a finite map {variable: nonzero Fraction} plus a rational
 constant. Keys can be anything hashable with a total order; the model layer
 uses its variable enum. Zero coefficients are never stored, so structural
-equality is semantic equality. Every coefficient, constant, factor and
-multiplier must be a numbers.Rational (an int or a Fraction); anything else,
-a float in particular, raises TypeError naming it.
+equality is semantic equality. Every coefficient, constant and multiplier
+must be a numbers.Rational (an int or a Fraction); anything else, a float in
+particular, raises TypeError naming it (rationals.as_rational).
 
 An expression also has an integer form, (s, terms, constant) with s > 0 the
 lcm of its denominators and everything else times s as ints, for the exact
@@ -16,22 +16,11 @@ computed on every call and is not stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Mapping, Tuple
 
-from .rationals import clear_denominators
+from .rationals import as_rational, clear_denominators
 
 _ZERO = Fraction(0)
-
-
-def _rational(value, what, var=None) -> Fraction:
-    """value as a Fraction, or TypeError naming what (of var) it is."""
-    if type(value) is Fraction:
-        return value
-    if not isinstance(value, Rational):
-        where = "" if var is None else f" of {var!r}"
-        raise TypeError(f"{what} {value!r}{where} is not a rational number")
-    return Fraction(value)
 
 
 class LinExpr:
@@ -44,11 +33,11 @@ class LinExpr:
         last one wins."""
         clean = {}
         for var, coeff in dict(terms).items():
-            c = _rational(coeff, "coefficient", var)
+            c = as_rational(coeff, "coefficient", var)
             if c:
                 clean[var] = c
         self.terms = clean
-        self.constant = _rational(constant, "constant")
+        self.constant = as_rational(constant, "constant")
         self._integer_form = None
 
     def __reduce__(self):
@@ -56,9 +45,6 @@ class LinExpr:
 
     def coeff(self, var) -> Fraction:
         return self.terms.get(var, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.constant == 0
 
     def evaluate(self, assignment: Mapping) -> Fraction:
         """Value at a full assignment; every used variable must be present."""
@@ -79,29 +65,6 @@ class LinExpr:
             self._integer_form = (s, tuple(list(zip(self.terms, ints))), ints[-1])
         return self._integer_form
 
-    def scaled(self, factor) -> "LinExpr":
-        f = _rational(factor, "factor")
-        if not f:
-            return LinExpr()
-        return LinExpr({v: c * f for v, c in self.terms.items()}, self.constant * f)
-
-    def __add__(self, other: "LinExpr") -> "LinExpr":
-        merged = dict(self.terms)
-        for var, coeff in other.terms.items():
-            merged[var] = merged.get(var, Fraction(0)) + coeff
-        return LinExpr(merged, self.constant + other.constant)
-
-    def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "LinExpr":
-        return self.scaled(-1)
-
-    def __mul__(self, factor) -> "LinExpr":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinExpr):
             return NotImplemented
@@ -120,7 +83,7 @@ def combine(parts: Iterable[Tuple[object, LinExpr]]) -> LinExpr:
     terms: dict = {}
     constant = Fraction(0)
     for multiplier, expr in parts:
-        m = _rational(multiplier, "multiplier")
+        m = as_rational(multiplier, "multiplier")
         if not m:
             continue
         for var, coeff in expr.terms.items():

@@ -5,22 +5,22 @@ best_constant(system, a) computes b* = min(Omega - a*omega) over the LP
 relaxation, so Omega >= a*omega + b* holds at every feasible point and the
 optimal dual multipliers form a Certificate proving exactly that bound.
 
-Each call builds the system's simplex rows and runs phase 1 once: minimize
-and best_constant for their one objective, frontier for all its slopes.
-Nothing is kept between calls, so a fresh system and a solved one take the
-same path.
+Each call builds the system's simplex rows and passes them once to
+simplex.feasible, which checks them and runs phase 1: minimize and
+best_constant for their one objective, frontier for all its slopes. Each
+objective is then one simplex.solve from that tableau. Nothing is kept
+between calls, so a fresh system and a solved one take the same path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
 
 from . import simplex
 from .certificates import Certificate, verify_certificate
 from .linexpr import LinExpr
 from .model import ConstraintSystem, Relation, Var
-from .rationals import format_rational
+from .rationals import as_rational, format_rational
 
 
 class UnboundedSlopeError(ValueError):
@@ -46,14 +46,13 @@ class SlopeBound(NamedTuple):
 
 
 def _standard_form(system: ConstraintSystem):
-    """The system as simplex rows, relations and right-hand sides, plus its
-    phase-1 tableau (None when infeasible), which every objective over the
-    system starts from."""
-    rows = tuple(tuple(c.body.coeff(v) for v in Var) for c in system.constraints)
-    relations = tuple(simplex.GE if c.relation is Relation.GE else simplex.EQ
-                      for c in system.constraints)
-    rhs = tuple(-c.body.constant for c in system.constraints)
-    return rows, relations, rhs, simplex.feasible(rows, relations, rhs)
+    """The phase-1 tableau of the system's simplex rows, which every
+    objective over the system starts from, or None when it is infeasible."""
+    rows = [[c.body.coeff(v) for v in Var] for c in system.constraints]
+    relations = [simplex.GE if c.relation is Relation.GE else simplex.EQ
+                 for c in system.constraints]
+    rhs = [-c.body.constant for c in system.constraints]
+    return simplex.feasible(rows, relations, rhs)
 
 
 def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
@@ -62,12 +61,11 @@ def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     return _minimize(system, _standard_form(system), objective)
 
 
-def _minimize(system: ConstraintSystem, form, objective: LinExpr) -> LPSolution:
-    rows, relations, rhs, start = form
+def _minimize(system: ConstraintSystem, start, objective: LinExpr) -> LPSolution:
     if start is None:
         return LPSolution(simplex.Status.INFEASIBLE)
     cost = [objective.coeff(v) for v in Var]
-    result = simplex.solve(rows, relations, rhs, cost, start=start)
+    result = simplex.solve(start, cost)
     if result.status is not simplex.Status.OPTIMAL:
         return LPSolution(result.status)
 
@@ -84,23 +82,17 @@ def _minimize(system: ConstraintSystem, form, objective: LinExpr) -> LPSolution:
     return LPSolution(simplex.Status.OPTIMAL, value, primal, multipliers)
 
 
-def _rational_slope(slope) -> Fraction:
-    if not isinstance(slope, Rational):
-        raise TypeError(f"slope {slope!r} is not a rational number")
-    return Fraction(slope)
-
-
 def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     """Largest b with Omega >= slope*omega + b across the system, plus the
     dual certificate (re-verified) and an attaining witness. The slope must
     be a numbers.Rational: a float would be solved as its binary value."""
-    slope = _rational_slope(slope)
+    slope = as_rational(slope, "slope")
     return _best_constant(system, _standard_form(system), slope)
 
 
-def _best_constant(system: ConstraintSystem, form, slope: Fraction) -> SlopeBound:
+def _best_constant(system: ConstraintSystem, start, slope: Fraction) -> SlopeBound:
     objective = LinExpr({Var.Omega: 1, Var.omega: -slope})
-    solution = _minimize(system, form, objective)
+    solution = _minimize(system, start, objective)
     if solution.status is simplex.Status.UNBOUNDED:
         raise UnboundedSlopeError(
             f"slope {format_rational(slope)} not supported by system")
@@ -130,12 +122,12 @@ class FrontierRow(NamedTuple):
 def frontier(system: ConstraintSystem, slopes) -> list:
     """best_constant per requested slope, in the given order; unbounded
     slopes produce a row with no constant instead of failing the sweep."""
-    form = _standard_form(system)
+    start = _standard_form(system)
     rows = []
     for slope in slopes:
-        slope = _rational_slope(slope)
+        slope = as_rational(slope, "slope")
         try:
-            bound = _best_constant(system, form, slope)
+            bound = _best_constant(system, start, slope)
         except UnboundedSlopeError:
             rows.append(FrontierRow(slope, None, None))
         else:

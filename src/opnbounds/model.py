@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from enum import Enum, IntEnum
 from fractions import Fraction
-from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .linexpr import LinExpr
-from .rationals import clear_denominators, format_rational
+from .rationals import as_rational, clear_denominators, format_rational
 
 
 class Var(IntEnum):
@@ -97,8 +96,7 @@ class ConstraintSystem(NamedTuple):
         checked as the sign of its integer form over the point's numerators,
         with the point's denominators cleared once."""
         for var, value in point.items():
-            if not isinstance(value, Rational):
-                raise TypeError(f"coordinate {value!r} of {var!r} is not a rational number")
+            as_rational(value, "coordinate", var)
         unit, ints = clear_denominators(point.values())
         scaled = dict(zip(point, ints))
         for c in self.constraints:

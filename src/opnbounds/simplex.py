@@ -5,12 +5,12 @@ choices (no cycling, fully deterministic pivot sequence), no floating point
 anywhere. Sized for small systems, tens of rows and columns.
 
 Problem form: minimize c . x subject to rows[i] . x >= rhs[i] or == rhs[i],
-x >= 0. Every coefficient, right-hand side and cost must be a
-numbers.Rational (an int or a Fraction); anything else, a float in
-particular, raises TypeError naming it. The result carries one dual
-multiplier per input row in the original row orientation: nonnegative on
-inequalities, signed on equalities, with sum(y_i * rhs_i) equal to the
-optimal objective (checked exactly).
+x >= 0, solved as solve(feasible(rows, relations, rhs), c). Every
+coefficient, right-hand side and cost must be a numbers.Rational (an int or
+a Fraction); anything else, a float in particular, raises TypeError naming
+it. The result carries one dual multiplier per input row in the original
+row orientation: nonnegative on inequalities, signed on equalities, with
+sum(y_i * rhs_i) equal to the optimal objective (checked exactly).
 
 The tableau holds Python ints over one positive common denominator D, and
 pivots fraction-free (Edmonds 1967, Bareiss 1968):
@@ -43,14 +43,18 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   of its surplus (inequality) or artificial (equality) column, z / (L*D).
   That holds for every input row, also when phase 1 dropped a redundant one.
 
-The two phases are separate calls. feasible() runs phase 1, which reads no
-objective, and returns the feasible tableau; solve() runs phase 2 on a copy
-of it. A caller minimising many objectives over the same rows (lp's
-frontier does, one per slope) runs phase 1 once and passes its tableau to
-every solve. That changes no answer: phase 2 reads only the constraint
-rows, since price() replaces phase 1's objective row, and Bland's rule
-picks the same pivots from the same tableau, so each solve ends at the same
-basis, x and duals as a solve from scratch.
+There is one solve path, in two calls, and feasible() is the only place a
+problem enters. It checks the shapes (as many relations and rhs as rows,
+every row as long as the first, every relation GE or EQ) and that every
+coefficient and rhs is rational, once, then runs phase 1, which reads no
+objective. The feasible tableau it returns owns its rows and keeps the
+input rhs for the duality check. solve(start, objective) runs phase 2 on a
+copy of it, so a caller minimising many objectives over the same rows (lp's
+frontier does, one per slope) runs phase 1 once. That changes no answer:
+phase 2 reads only the constraint rows, since price() replaces phase 1's
+objective row, and Bland's rule picks the same pivots from the same
+tableau, so each solve ends at the same basis, x and duals as a solve that
+ran phase 1 for it alone.
 """
 from __future__ import annotations
 
@@ -58,10 +62,9 @@ import copy
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from typing import NamedTuple
 
-from .rationals import clear_denominators
+from .rationals import as_rational, clear_denominators
 
 _ZERO = Fraction(0)
 # run() gives up after this many pivots per row and column of the tableau
@@ -86,13 +89,13 @@ class SimplexResult(NamedTuple):
 
 def _check_rational(values, name) -> None:
     for k, v in enumerate(values):
-        if not isinstance(v, Rational):
-            raise TypeError(f"{name}[{k}] is {v!r}, not a rational number")
+        as_rational(v, f"{name}[{k}]")
 
 
 class _Tableau:
     def __init__(self, rows, relations, rhs, n):
         self.n = n
+        self.rhs = tuple(rhs)       # the input rhs, for solve's duality check
         self.sigma = [-1 if v < 0 else 1 for v in rhs]  # flips that make rhs >= 0
         # column layout: structural 0..n-1, then one surplus per GE row,
         # then artificials; Bland therefore prefers structural columns in
@@ -203,11 +206,21 @@ class _Tableau:
 def feasible(rows, relations, rhs) -> _Tableau | None:
     """Phase 1: a feasible tableau for the rows, or None when they have no
     nonnegative solution. It depends on no objective, so one result serves
-    any number of solve calls over the same rows."""
-    for i, row in enumerate(rows):
+    any number of solve calls over the same rows. A malformed shape raises
+    ValueError and a coefficient or rhs that is not rational TypeError,
+    each naming the index."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if not m == len(relations) == len(rhs):
+        raise ValueError(f"index {min(m, len(relations), len(rhs))} is not in all of rows, "
+                         f"relations and rhs ({m}, {len(relations)} and {len(rhs)} entries)")
+    for i, (row, relation) in enumerate(zip(rows, relations)):
+        if len(row) != n:
+            raise ValueError(f"rows[{i}] has {len(row)} coefficients, rows[0] {n}")
+        if relation not in (GE, EQ):
+            raise ValueError(f"relations[{i}] is {relation!r}, not {GE!r} or {EQ!r}")
         _check_rational(row, f"rows[{i}]")
     _check_rational(rhs, "rhs")
-    tb = _Tableau(rows, relations, rhs, len(rows[0]) if rows else 0)
+    tb = _Tableau(rows, relations, rhs, n)
     if tb.art_col:
         # minimize the artificial sum; artificial i stands for s_i times the
         # input row's, so it costs unit / s_i (unit is the docstring's M)
@@ -224,18 +237,12 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
     return tb
 
 
-def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> SimplexResult:
-    """Two-phase exact simplex; see the module docstring for the problem form.
-    start, when given, is feasible(rows, relations, rhs) for these same rows:
-    phase 2 then runs on a copy of it and start itself is left unchanged."""
+def solve(start: _Tableau, objective) -> SimplexResult:
+    """Phase 2: minimize objective . x over the rows of start, a tableau
+    from feasible(); see the module docstring for the problem form. It runs
+    on a copy, so start itself is left unchanged."""
     _check_rational(objective, "objective")
-    _check_rational(rhs, "rhs")
-    m = len(rows)
     n = len(objective)
-    if start is None:
-        start = feasible(rows, relations, rhs)
-        if start is None:
-            return SimplexResult(Status.INFEASIBLE)
     if start.n != n:
         raise ValueError(f"objective has {n} coefficients, the rows {start.n} columns")
     tb = start.copy()
@@ -256,11 +263,11 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
             value += objective[col] * x[col]
 
     z = tb.rows[-1]
-    duals = [_ZERO] * m
+    duals = [_ZERO] * len(tb.rhs)
     paid = _ZERO
     per_dual = unit * tb.d
-    for i in range(m):
-        if relations[i] == GE:
+    for i, b in enumerate(tb.rhs):
+        if i in tb.surplus_col:
             reduced = z[tb.surplus_col[i]]
             if reduced < 0:
                 raise RuntimeError(f"dual of inequality row {i} is negative: "
@@ -269,7 +276,7 @@ def solve(rows, relations, rhs, objective, start: _Tableau | None = None) -> Sim
             reduced = -tb.sigma[i] * z[tb.art_col[i]]
         if reduced:
             duals[i] = Fraction(tb.scale[i] * reduced, per_dual)
-            paid += duals[i] * rhs[i]
+            paid += duals[i] * b
     if paid != value:
         raise RuntimeError(f"strong duality fails: dual value {paid}, primal value {value}")
     return SimplexResult(Status.OPTIMAL, value, x, duals)

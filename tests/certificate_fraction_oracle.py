@@ -1,8 +1,9 @@
 """The Fraction certificate verifier that opnbounds.certificates replaced,
 kept as a test oracle: the weighted sum is formed by the public
-linexpr.combine and normalized by LinExpr.scaled, every coefficient a
-Fraction. The integer combination must give the same report, field by
-field. API matches opnbounds.certificates.verify_certificate.
+linexpr.combine and normalized by a second combine, with weight one over
+its Omega coefficient, every coefficient a Fraction. The integer
+combination must give the same report, field by field. API matches
+opnbounds.certificates.verify_certificate.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def verify_certificate(system, cert) -> VerificationReport:
     omega_coeff = total.coeff(Var.Omega)
     if omega_coeff <= 0:
         return fail("no Omega contribution")
-    normalized = total.scaled(Fraction(1) / omega_coeff)
+    normalized = combine([(Fraction(1) / omega_coeff, total)])
 
     derived_slope = -normalized.coeff(Var.omega)
     derived_constant = -normalized.constant

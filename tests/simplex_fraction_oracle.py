@@ -7,8 +7,11 @@ every input row is read off the objective row, also when phase 1 dropped a
 row as redundant. Setting the dropped row's own dual to 0 instead was wrong
 when the artificial basic in that row belonged to another input row.
 
-Problem form and API match opnbounds.simplex: feasible(rows, relations, rhs)
-and solve(rows, relations, rhs, objective, start=None).
+Problem form matches opnbounds.simplex. The API is the replaced code's:
+feasible(rows, relations, rhs), and solve(rows, relations, rhs, objective,
+start=None), which runs phase 1 itself when start is None. The simplex
+package's solve(feasible(rows, relations, rhs), objective) is its
+counterpart.
 """
 from __future__ import annotations
 

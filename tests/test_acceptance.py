@@ -13,9 +13,10 @@ from opnbounds.enumeration import integer_scan, is_feasible
 from opnbounds.lemmas import bucket_census, lemma1_scan, lemma2_scan, shared_primes
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Var, build_system
-from opnbounds.simplex import EQ, GE, solve
+from opnbounds.simplex import EQ, GE
 
 from lp_bruteforce import brute_force_lp
+from simplex_rows import solve_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "certificates"
 
@@ -170,7 +171,7 @@ def _solver_transcript():
     matched = 0
     for _ in range(50):
         rows, relations, rhs, objective = _random_problem(rng)
-        got = solve(rows, relations, rhs, objective)
+        got = solve_rows(rows, relations, rhs, objective)
         want_status, want_value = brute_force_lp(rows, relations, rhs, objective)
         assert got.status.value == want_status, (rows, relations, rhs)
         if want_status == "optimal":

@@ -316,7 +316,21 @@ def test_frontier_bad_slope_exits_2(capsys):
     code, _, err = run(capsys, "frontier", "--system", "three_coprime",
                        "--slopes", "2,banana")
     assert code == 2
-    assert "error:" in err
+    assert err == "error: argument --slopes: not a rational: 'banana'\n"
+
+
+def test_frontier_huge_slope_names_its_flag(capsys, monkeypatch):
+    # CPython refuses int strings past 4300 digits; the error names --slopes
+    # and the sweep never starts
+    def no_sweep(*args):
+        raise AssertionError("frontier ran")
+
+    monkeypatch.setattr(cli, "frontier", no_sweep)
+    code, out, err = run(capsys, "frontier", "--system", "three_coprime",
+                         "--slopes", "2," + "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --slopes: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 
 def test_lemmas_one_clean(capsys):

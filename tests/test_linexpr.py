@@ -15,8 +15,8 @@ from opnbounds.model import Var
 
 def test_cancellation_drops_terms():
     x = LinExpr({Var.e: 1}, 1)
-    assert combine([(1, x), (-1, x)]).is_zero()
-    assert combine([]).is_zero()
+    assert combine([(1, x), (-1, x)]) == LinExpr()
+    assert combine([]) == LinExpr()
 
 
 def test_scaling_a_breakdown_row():
@@ -24,7 +24,6 @@ def test_scaling_a_breakdown_row():
     scaled = combine([(Fraction(2, 3), row)])
     assert scaled == LinExpr({Var.s1: Fraction(2, 3), Var.s2: Fraction(2, 3),
                               Var.s3: Fraction(2, 3), Var.s: Fraction(-2, 3)})
-    assert scaled == row.scaled(Fraction(2, 3))
 
 
 def test_weighted_sum_cancels_e():
@@ -43,9 +42,9 @@ def test_weighted_sum_cancels_e():
 def test_zero_coefficients_never_stored():
     e = LinExpr({Var.e: 1, Var.s: 0})
     assert Var.s not in e.terms
-    diff = LinExpr({Var.e: 1}) - LinExpr({Var.e: 1})
-    assert diff.terms == {} and diff.is_zero()
-    assert LinExpr({Var.e: 2}, 3).scaled(0).is_zero()
+    diff = combine([(1, e), (-1, e)])
+    assert diff.terms == {} and diff == LinExpr()
+    assert combine([(0, LinExpr({Var.e: 2}, 3))]) == LinExpr()
 
 
 def test_permutation_invariance():
@@ -62,9 +61,7 @@ def test_evaluate_and_operators():
     expr = LinExpr({Var.Omega: 1, Var.omega: Fraction(-8, 3)}, Fraction(7, 3))
     point = {Var.Omega: Fraction(3), Var.omega: Fraction(2)}
     assert expr.evaluate(point) == 0
-    assert (expr + (-expr)).is_zero()
-    assert 2 * expr == expr * 2 == expr.scaled(2)
-    assert (expr - expr).is_zero()
+    assert expr == LinExpr(dict(expr.terms), expr.constant) != LinExpr()
     assert hash(expr) == hash(LinExpr(dict(expr.terms), expr.constant))
 
 
@@ -75,16 +72,6 @@ def test_constructor_rejects_non_rationals():
         with pytest.raises(TypeError, match="constant .* is not a rational number"):
             LinExpr({Var.e: 1}, bad)
     assert LinExpr({Var.e: True}, 2) == LinExpr({Var.e: Fraction(1)}, Fraction(2))
-
-
-def test_scaled_rejects_non_rationals():
-    row = LinExpr({Var.e: 1}, 1)
-    for bad in (0.5, 0.0, Decimal(2)):
-        with pytest.raises(TypeError, match="factor .* is not a rational number"):
-            row.scaled(bad)
-        with pytest.raises(TypeError, match="factor"):
-            row * bad
-    assert row.scaled(Fraction(1, 2)) == LinExpr({Var.e: Fraction(1, 2)}, Fraction(1, 2))
 
 
 def test_combine_rejects_non_rationals():

@@ -172,14 +172,22 @@ def test_weak_duality_on_random_feasible_points():
 SWEEP = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-d, 4 * d + 1)})
 
 
-def _cold_solve(system, slope):
-    """simplex.solve from scratch, phase 1 included, on the system's rows."""
+def _rows(system):
+    """The system's simplex rows, relations and right-hand sides."""
     rows = [[c.body.coeff(v) for v in Var] for c in system.constraints]
     relations = [simplex.GE if c.relation is Relation.GE else simplex.EQ
                  for c in system.constraints]
     rhs = [-c.body.constant for c in system.constraints]
-    cost = [LinExpr({Var.Omega: 1, Var.omega: -slope}).coeff(v) for v in Var]
-    return simplex.solve(rows, relations, rhs, cost)
+    return rows, relations, rhs
+
+
+def _cost(slope):
+    return [LinExpr({Var.Omega: 1, Var.omega: -slope}).coeff(v) for v in Var]
+
+
+def _cold_solve(system, slope):
+    """simplex.solve after a phase 1 of its own on the system's rows."""
+    return simplex.solve(simplex.feasible(*_rows(system)), _cost(slope))
 
 
 @pytest.mark.parametrize("system", [NO3, WITH3, WITH3_SHARP],
@@ -204,11 +212,10 @@ def test_shared_phase_one_matches_cold_solves(system):
 def test_sweep_matches_fraction_oracle(system):
     """Constants, witnesses and certificate multipliers over the sweep are
     those of the Fraction simplex the integer tableau replaced."""
-    rows, relations, rhs, _ = lp._standard_form(system)
+    rows, relations, rhs = _rows(system)
     start = oracle.feasible(rows, relations, rhs)
     for slope in SWEEP:
-        cost = [LinExpr({Var.Omega: 1, Var.omega: -slope}).coeff(v) for v in Var]
-        want = oracle.solve(rows, relations, rhs, cost, start=start)
+        want = oracle.solve(rows, relations, rhs, _cost(slope), start=start)
         if want.status is Status.UNBOUNDED:
             with pytest.raises(UnboundedSlopeError):
                 best_constant(system, slope)

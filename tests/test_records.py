@@ -34,7 +34,7 @@ def records():
         frontier(system, [Fraction(2)])[0],
         system.constraints[0],
         system,
-        simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1]),
+        simplex.solve(simplex.feasible([[1, 1]], [simplex.GE], [1]), [1, 1]),
     ]
     return {type(record).__name__: record for record in built}
 

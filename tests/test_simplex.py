@@ -13,11 +13,12 @@ from opnbounds.simplex import EQ, GE, Status, feasible, solve
 
 import simplex_fraction_oracle as oracle
 from lp_bruteforce import brute_force_lp
+from simplex_rows import solve_rows
 
 
 def test_textbook_optimum():
     # min -x - 2y st -x - y >= -4, -x + y >= -2 (i.e. x+y <= 4, x-y <= 2)
-    result = solve([[-1, -1], [-1, 1]], [GE, GE], [-4, -2], [-1, -2])
+    result = solve_rows([[-1, -1], [-1, 1]], [GE, GE], [-4, -2], [-1, -2])
     assert result.status is Status.OPTIMAL
     assert result.value == -8
     assert result.x == [0, 4]
@@ -25,7 +26,7 @@ def test_textbook_optimum():
 
 def test_equality_and_mixed_rows():
     # min x + y st x + y == 3, x - y >= 1
-    result = solve([[1, 1], [1, -1]], [EQ, GE], [3, 1], [1, 1])
+    result = solve_rows([[1, 1], [1, -1]], [EQ, GE], [3, 1], [1, 1])
     assert result.status is Status.OPTIMAL
     assert result.value == 3
     assert result.duals is not None
@@ -36,12 +37,12 @@ def test_equality_and_mixed_rows():
 
 def test_infeasible():
     # x >= 2 and x == 1
-    result = solve([[1], [1]], [GE, EQ], [2, 1], [1])
+    result = solve_rows([[1], [1]], [GE, EQ], [2, 1], [1])
     assert result.status is Status.INFEASIBLE
 
 
 def test_unbounded():
-    result = solve([[1]], [GE], [1], [-1])
+    result = solve_rows([[1]], [GE], [1], [-1])
     assert result.status is Status.UNBOUNDED
 
 
@@ -57,7 +58,7 @@ BEALE_OBJECTIVE = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
 
 def test_degenerate_vertex_terminates():
     # Bland's rule must still finish
-    result = solve(BEALE_ROWS, [GE, GE, GE], BEALE_RHS, BEALE_OBJECTIVE)
+    result = solve_rows(BEALE_ROWS, [GE, GE, GE], BEALE_RHS, BEALE_OBJECTIVE)
     assert result.status is Status.OPTIMAL
     assert result.value == Fraction(-1, 20)
 
@@ -65,7 +66,7 @@ def test_degenerate_vertex_terminates():
 def test_redundant_equalities_drop_cleanly():
     # second row repeats the first; third is their sum
     rows = [[1, 1], [1, 1], [2, 2]]
-    result = solve(rows, [EQ, EQ, EQ], [2, 2, 4], [1, 0])
+    result = solve_rows(rows, [EQ, EQ, EQ], [2, 2, 4], [1, 0])
     assert result.status is Status.OPTIMAL
     assert result.value == 0
     paid = sum(d * b for d, b in zip(result.duals, [2, 2, 4]))
@@ -73,7 +74,7 @@ def test_redundant_equalities_drop_cleanly():
 
 
 def test_zero_rhs_duals_keep_strong_duality():
-    result = solve([[1, -1]], [EQ], [0], [1, 2])
+    result = solve_rows([[1, -1]], [EQ], [0], [1, 2])
     assert result.status is Status.OPTIMAL
     assert result.value == 0
 
@@ -83,8 +84,8 @@ def test_determinism_repr_identical():
     relations = [GE, EQ, GE]
     rhs = [1, 2, -1]
     objective = [2, 1, 1]
-    first = solve(rows, relations, rhs, objective)
-    second = solve(rows, relations, rhs, objective)
+    first = solve_rows(rows, relations, rhs, objective)
+    second = solve_rows(rows, relations, rhs, objective)
     assert repr(first) == repr(second)
     assert first.x == second.x and first.duals == second.duals
 
@@ -104,7 +105,7 @@ def test_random_lps_match_brute_force():
     statuses = {Status.OPTIMAL: 0, Status.INFEASIBLE: 0, Status.UNBOUNDED: 0}
     for _ in range(60):
         rows, relations, rhs, objective = _random_problem(rng)
-        got = solve(rows, relations, rhs, objective)
+        got = solve_rows(rows, relations, rhs, objective)
         want_status, want_value = brute_force_lp(rows, relations, rhs, objective)
         assert got.status.value == want_status, (rows, relations, rhs, objective)
         if want_status == "optimal":
@@ -120,8 +121,9 @@ def test_random_lps_match_brute_force():
 
 
 def test_shared_phase_one_matches_cold_solves():
-    """Phase 2 from one feasible() tableau gives a cold solve's answer for
-    every objective and leaves the shared tableau as it was."""
+    """Phase 2 from one shared feasible() tableau gives the answer of a
+    phase 1 run for that objective alone, and leaves the shared tableau as
+    it was."""
     rng = random.Random(424242)
     infeasible = 0
     for _ in range(60):
@@ -129,13 +131,12 @@ def test_shared_phase_one_matches_cold_solves():
         start = feasible(rows, relations, rhs)
         if start is None:
             infeasible += 1
-            assert solve(rows, relations, rhs, [0] * len(rows[0])).status is Status.INFEASIBLE
             continue
         before = copy.deepcopy(vars(start))
         for _ in range(4):
             objective = [rng.randint(-3, 3) for _ in rows[0]]
-            warm = solve(rows, relations, rhs, objective, start=start)
-            cold = solve(rows, relations, rhs, objective)
+            warm = solve(start, objective)
+            cold = solve(feasible(rows, relations, rhs), objective)
             assert (warm.status, warm.value, warm.x, warm.duals) == \
                 (cold.status, cold.value, cold.x, cold.duals), (rows, relations, rhs, objective)
         assert vars(start) == before
@@ -145,12 +146,13 @@ def test_shared_phase_one_matches_cold_solves():
 def test_start_must_match_the_objective_length():
     start = feasible([[1, 1]], [GE], [1])
     with pytest.raises(ValueError, match="objective has 3 coefficients, the rows 2 columns"):
-        solve([[1, 1]], [GE], [1], [1, 1, 1], start=start)
+        solve(start, [1, 1, 1])
 
 
-def _traced_solve(module, rows, relations, rhs, objective):
-    """module.solve's result and its trace: each pivot (row, column, sign of
-    the pivot entry) in order and the basis at the end of each Bland run."""
+def _traced_solve(module, solve_from_rows, rows, relations, rhs, objective):
+    """The result of solve_from_rows, phase 1 and 2 over module's tableau,
+    and its trace: each pivot (row, column, sign of the pivot entry) in
+    order and the basis at the end of each Bland run."""
     trace = []
     pivot, run = module._Tableau.pivot, module._Tableau.run
 
@@ -167,15 +169,15 @@ def _traced_solve(module, rows, relations, rhs, objective):
 
     with mock.patch.object(module._Tableau, "pivot", traced_pivot), \
             mock.patch.object(module._Tableau, "run", traced_run):
-        result = module.solve(rows, relations, rhs, objective)
+        result = solve_from_rows(rows, relations, rhs, objective)
     return result, trace
 
 
 def _assert_matches_oracle(rows, relations, rhs, objective):
     """The integer tableau makes the Fraction tableau's pivots and gives its
     status, value, x, duals and final basis; returns the result and trace."""
-    got, got_trace = _traced_solve(simplex, rows, relations, rhs, objective)
-    want, want_trace = _traced_solve(oracle, rows, relations, rhs, objective)
+    got, got_trace = _traced_solve(simplex, solve_rows, rows, relations, rhs, objective)
+    want, want_trace = _traced_solve(oracle, oracle.solve, rows, relations, rhs, objective)
     problem = (rows, relations, rhs, objective)
     assert (got.status, got.value, got.x, got.duals) == \
         (want.status, want.value, want.x, want.duals), problem
@@ -281,7 +283,7 @@ def test_dual_of_a_row_dropped_under_another_rows_artificial():
     # drops tableau row 2 while row 1's artificial is basic in it: that
     # input row gets dual 0, and row 2 keeps its own
     rows, relations, rhs, objective = [[-2, 0, -1], [2, -1, 1], [0, 2, 0]], [EQ] * 3, [-1, 0, 2], [1, 1, 1]
-    result = solve(rows, relations, rhs, objective)
+    result = solve_rows(rows, relations, rhs, objective)
     assert brute_force_lp(rows, relations, rhs, objective) == ("optimal", Fraction(3, 2))
     assert result.value == Fraction(3, 2)
     assert result.duals == [Fraction(-1, 2), 0, Fraction(1, 2)]
@@ -292,7 +294,7 @@ def test_dual_of_a_row_dropped_under_another_rows_artificial():
 @given(problem=_problems(max_rows=4, max_cols=3))
 def test_rational_lps_match_brute_force(problem):
     rows, relations, rhs, objective = problem
-    got = solve(rows, relations, rhs, objective)
+    got = solve_rows(rows, relations, rhs, objective)
     want_status, want_value = brute_force_lp(rows, relations, rhs, objective)
     assert got.status.value == want_status
     if want_status == "optimal":
@@ -301,18 +303,34 @@ def test_rational_lps_match_brute_force(problem):
 
 
 @pytest.mark.parametrize("rows, rhs, objective, named", [
-    ([[0.1, 1]], [Fraction(3, 10)], [1, 1], r"rows\[0\]\[0\] is 0.1"),
-    ([[1, 1]], [0.3], [1, 1], r"rhs\[0\] is 0.3"),
-    ([[1, 1]], [1], [1, 0.5], r"objective\[1\] is 0.5"),
-    ([[1, Decimal("0.5")]], [1], [1, 1], r"rows\[0\]\[1\] is Decimal\('0.5'\)"),
-    ([[0.1, 1]], [0.3], [1, 1], r"is 0.[13]"),
+    ([[0.1, 1]], [Fraction(3, 10)], [1, 1], r"rows\[0\]\[0\] 0.1"),
+    ([[1, 1]], [0.3], [1, 1], r"rhs\[0\] 0.3"),
+    ([[1, 1]], [1], [1, 0.5], r"objective\[1\] 0.5"),
+    ([[1, Decimal("0.5")]], [1], [1, 1], r"rows\[0\]\[1\] Decimal\('0.5'\)"),
+    ([[0.1, 1]], [0.3], [1, 1], r" 0.[13]"),
 ])
 def test_non_rational_input_raises_type_error(rows, rhs, objective, named):
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
-    with pytest.raises(TypeError, match=named + ", not a rational number"):
-        solve(rows, [GE], rhs, objective)
+    with pytest.raises(TypeError, match=named + " is not a rational number"):
+        solve_rows(rows, [GE], rhs, objective)
 
 
 def test_feasible_rejects_a_float_row():
-    with pytest.raises(TypeError, match=r"rows\[0\]\[0\] is 0.1, not a rational number"):
+    with pytest.raises(TypeError, match=r"rows\[0\]\[0\] 0.1 is not a rational number"):
         feasible([[0.1, 1]], [GE], [1])
+
+
+@pytest.mark.parametrize("rows, relations, rhs, named", [
+    ([[1], [1]], [GE, GE], [1],
+     r"index 1 is not in all of rows, relations and rhs \(2, 2 and 1 entries\)"),
+    ([[1], [1]], [GE], [1, 1], r"index 1 .* \(2, 1 and 2 entries\)"),
+    ([[1]], [GE, GE], [1, 1], r"index 1 .* \(1, 2 and 2 entries\)"),
+    ([[1, 1], [1]], [GE, GE], [1, 1], r"rows\[1\] has 1 coefficients, rows\[0\] 2"),
+    ([[1], [1, 1]], [GE, EQ], [1, 1], r"rows\[1\] has 2 coefficients, rows\[0\] 1"),
+    ([[1]], ["<="], [1], r"relations\[0\] is '<=', not '>=' or '=='"),
+    ([[1], [1]], [GE, None], [1, 1], r"relations\[1\] is None"),
+])
+def test_feasible_rejects_malformed_shapes(rows, relations, rhs, named):
+    # each of these once gave a wrong optimum or an unrelated error
+    with pytest.raises(ValueError, match=named):
+        feasible(rows, relations, rhs)

@@ -44,7 +44,7 @@ def test_pivot_limit_raises_runtime_error(monkeypatch):
     # Bland's rule cannot cycle, so a zero pivot budget stands in for a cycle
     monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
     with pytest.raises(RuntimeError, match="pivot limit of 0 exceeded"):
-        simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1])
+        simplex.solve(simplex.feasible([[1, 1]], [simplex.GE], [1]), [1, 1])
 
 
 def test_minimize_raises_naming_the_row_a_witness_breaks(monkeypatch):
@@ -99,8 +99,10 @@ for wrong in (lowered_omega, raised_value):
     except RuntimeError as exc:
         print(exc)
 lp.simplex.solve = solve
-try:  # a start tableau for other rhs breaks strong duality
-    simplex.solve([[1]], [simplex.GE], [2], [1], start=simplex.feasible([[1]], [simplex.GE], [1]))
+start = simplex.feasible([[1]], [simplex.GE], [1])
+start.rhs = (2,)  # a stored rhs the rows were not solved for breaks strong duality
+try:
+    simplex.solve(start, [1])
 except RuntimeError as exc:
     print(exc)
 try:
@@ -109,7 +111,7 @@ except TypeError as exc:
     print(exc)
 simplex._PIVOTS_PER_SIZE = 0
 try:
-    simplex.solve([[1, 1]], [simplex.GE], [1], [1, 1])
+    simplex.solve(simplex.feasible([[1, 1]], [simplex.GE], [1]), [1, 1])
 except RuntimeError as exc:
     print(exc)
 """
