@@ -22,7 +22,6 @@ TypeError naming it.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
@@ -182,6 +181,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def load_certificate(path) -> Certificate:
+    import json
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -195,6 +195,7 @@ def load_certificate(path) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(certificate_to_dict(cert), handle, indent=2, ensure_ascii=False)
         handle.write("\n")

@@ -8,8 +8,6 @@ lemma violations), 2 usage, parse or output errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -37,8 +35,8 @@ def _positive_int(text: str) -> int:
 def _rational(text: str):
     try:
         return parse_rational(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _slope_list(text: str) -> list:
@@ -60,8 +58,11 @@ def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
     spelled as in JSON), or else the text lines. Fractions are spelled n/d
     in all three."""
     if fmt == "json":
+        import json
         print(json.dumps(payload, indent=2, ensure_ascii=False, default=format_rational))
     elif fmt == "csv":
+        import csv
+        import json
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([json.dumps(cell) if isinstance(cell, bool) else cell

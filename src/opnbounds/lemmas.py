@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
@@ -135,7 +136,7 @@ def _census_chunk(segment) -> list:
     flags = odd_prime_flags(lo, size)
     counts = bytearray(size)  # prime factors found, with multiplicity
     rest = array("Q", bytes(8 * size))  # what is left of n^2+n+1
-    live = [j for j, prime in enumerate(flags) if prime]
+    live = list(compress(range(size), flags))
     for j in live:
         n = lo + 2 * j
         counts[j] = n % 3 == 1
@@ -145,16 +146,16 @@ def _census_chunk(segment) -> list:
             break
         for root in (ws[i], q - 1 - ws[i]):
             first = (root - lo) * (q + 1) // 2 % q  # lo + 2j = root (mod q)
-            hits = flags[first::q]
-            k = hits.find(1)
-            while k >= 0:
-                j = first + k * q
+            if q >= size:  # first is the class's only index below size, if any
+                hits = (first,) if first < size and flags[first] else ()
+            else:
+                hits = compress(range(first, size, q), flags[first::q])
+            for j in hits:
                 c, e = rest[j] // q, 1
                 while c % q == 0:
                     c, e = c // q, e + 1
                 rest[j] = c
                 counts[j] += e
-                k = hits.find(1, k + 1)
     cells = [0] * len(CELLS)
     for j in live:
         cells[2 * min(counts[j] + (rest[j] > 1), 3) + (lo + 2 * j) % 3 - 3] += 1

@@ -7,6 +7,7 @@ schedule, so repeated runs factor identically.
 """
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 # the first 13 primes as strong-pseudoprime bases: Miller-Rabin with them is
@@ -36,8 +37,8 @@ def sieve(limit: int) -> list:
         return []
     primes, step = [2], max(isqrt(limit), 1 << 16)  # step: odd numbers per segment
     for lo in range(3, limit + 1, 2 * step):
-        flags = odd_prime_flags(lo, min(step, (limit - lo) // 2 + 1))
-        primes.extend(lo + 2 * j for j, f in enumerate(flags) if f)
+        size = min(step, (limit - lo) // 2 + 1)
+        primes.extend(compress(range(lo, lo + 2 * size, 2), odd_prime_flags(lo, size)))
     return primes
 
 

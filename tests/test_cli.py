@@ -333,6 +333,20 @@ def test_frontier_huge_slope_names_its_flag(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, extra", [("optimize", ()), ("scan", ("--box", "2"))])
+def test_huge_slope_names_its_flag_and_the_limit(capsys, command, extra):
+    # the usage lines come first; the one error line names --slope and
+    # CPython's limit and echoes none of the 5000 digits
+    code, out, err = run(capsys, command, "--system", "three_coprime", *extra,
+                         "--slope", "1" * 5000)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"opnbounds {command}: error: argument --slope: Exceeds the limit "
+                      "(4300 digits) for integer string conversion: value has 5000 "
+                      "digits; use sys.set_int_max_str_digits() to increase the limit"]
+    assert "1" * 100 not in err
+
+
 def test_lemmas_one_clean(capsys):
     code, out, _ = run(capsys, "lemmas", "--which", "1", "--max", "200",
                        "--jobs", "1")

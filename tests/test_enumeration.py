@@ -1,4 +1,3 @@
-import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnbounds import enumeration
+from opnbounds import enumeration, workers
 from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
@@ -181,7 +180,7 @@ def test_scan_equals_pruned_loop_oracle(system, slope):
 
 
 def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     want = bruteforce_scan(WITH3, Fraction(21, 8), 9)
     assert want.minimum == Fraction(-39, 8)
     assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=1) == want
@@ -297,7 +296,7 @@ def test_scan_rejects_inputs_of_the_wrong_type(monkeypatch):
 
 
 def test_jobs_do_not_change_results(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     lone = integer_scan(NO3, Fraction(8, 3), 3, jobs=1)
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=3) == lone
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=None) == lone

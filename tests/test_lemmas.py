@@ -1,5 +1,4 @@
 import json
-import os
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -9,7 +8,7 @@ import pytest
 
 from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
                            brute_shared_triples)
-from opnbounds import lemmas
+from opnbounds import lemmas, workers
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
                               lemma2_violations, shared_primes)
@@ -202,7 +201,7 @@ def test_census_empty_below_first_prime():
 
 
 def test_census_worker_independent(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     assert bucket_census(500, jobs=3) == bucket_census(500, jobs=1)
 
 
@@ -220,7 +219,7 @@ def test_census_matches_pinned_reference_at_20000():
 
 
 def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     # short segments put several boundaries, and several per worker, in range
     monkeypatch.setattr(lemmas, "_SEGMENT", 777)
     want = brute_census(20000)
@@ -229,7 +228,7 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
 
 
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # jobs=3 splits three ways
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     # with k = 10^9 every shared prime breaks the bound, so the walk must
     # report each same-residue triple (a, b, q) of the all-pairs gcd, once,
     # q = 3 included
