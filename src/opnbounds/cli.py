@@ -4,6 +4,10 @@ Every command is deterministic: the same flags produce byte-identical
 output. Rationals print as n/d strings, never as decimals. Exit codes:
 0 success or pass, 1 domain failure (failed verification, unbounded slope,
 lemma violations), 2 usage, parse or output errors.
+
+A handler imports the modules it runs when it runs, and build_parser
+gives arguments only to the subcommand named first, so a process loads
+only what its subcommand uses.
 """
 from __future__ import annotations
 
@@ -11,28 +15,31 @@ import argparse
 import os
 import sys
 
-from .certificates import (CertificateFormatError, certificate_to_dict,
-                           load_certificate, save_certificate,
-                           verify_certificate)
-from .lemmas import (BUCKETS, CELLS, RESIDUES, bucket_census, classify_prime,
-                     lemma1_scan, lemma2_scan)
-from .lp import UnboundedSlopeError, best_constant, frontier
-from .model import Case, Var, build_system, describe_system, render_bound
-from .rationals import format_rational, parse_rational
-from .enumeration import integer_scan
+
+def _int(text: str, message: str) -> int:
+    """int(text); text that is no integer fails with message, and one int()
+    refuses for another reason (CPython's 4300-digit limit) with that
+    reason, which names no digit of text."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        reason = message if str(exc).startswith("invalid literal") else str(exc)
+        raise argparse.ArgumentTypeError(reason) from None
+
+
+def _integer(text: str) -> int:
+    return _int(text, f"invalid int value: {text!r}")
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text, f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {value}")
     return value
 
 
 def _rational(text: str):
+    from .rationals import parse_rational
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -41,10 +48,12 @@ def _rational(text: str):
 
 def _slope_list(text: str) -> list:
     """The slopes of a comma-separated list; blank entries are skipped."""
+    from .rationals import parse_rational
     return [parse_rational(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _system_from(args):
+    from .model import Case, build_system
     return build_system(Case(args.system), args.f3_min2 == "on")
 
 
@@ -59,6 +68,8 @@ def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
     in all three."""
     if fmt == "json":
         import json
+
+        from .rationals import format_rational
         print(json.dumps(payload, indent=2, ensure_ascii=False, default=format_rational))
     elif fmt == "csv":
         import csv
@@ -73,6 +84,9 @@ def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .certificates import CertificateFormatError, load_certificate, verify_certificate
+    from .model import render_bound
+    from .rationals import format_rational
     try:
         cert = load_certificate(args.cert)
     except (OSError, CertificateFormatError) as exc:
@@ -98,6 +112,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .certificates import (certificate_to_dict, load_certificate, save_certificate,
+                               verify_certificate)
+    from .lp import UnboundedSlopeError, best_constant
+    from .model import render_bound
+    from .rationals import format_rational
     system = _system_from(args)
     try:
         bound = best_constant(system, args.slope)
@@ -125,6 +144,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_frontier(args) -> int:
+    from .certificates import save_certificate
+    from .lp import frontier
     system = _system_from(args)
     try:
         slopes = _slope_list(args.slopes)
@@ -150,6 +171,7 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    from .lemmas import lemma1_scan, lemma2_scan
     if args.which == "1":
         key, header = "violations", ("a", "b", "p", "bound")
         rows = [(v.a, v.b, v.p, v.bound) for v in lemma1_scan(args.max, jobs=args.jobs)]
@@ -171,6 +193,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .lemmas import BUCKETS, CELLS, RESIDUES, bucket_census
     counts = bucket_census(args.max, jobs=args.jobs)
     rows = [(bucket, residue, counts[(bucket, residue)]) for bucket, residue in CELLS]
     _emit(args.format,
@@ -182,6 +205,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .lemmas import classify_prime
     try:
         info = classify_prime(args.p)
     except ValueError as exc:
@@ -197,6 +221,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .enumeration import integer_scan
+    from .model import Var
+    from .rationals import format_rational
     try:
         result = integer_scan(_system_from(args), args.slope, args.box, jobs=args.jobs)
     except ValueError as exc:
@@ -213,20 +240,21 @@ def cmd_scan(args) -> int:
 
 
 def cmd_describe(args) -> int:
+    from .model import describe_system
     _emit("text", [describe_system(_system_from(args))])
     return 0
 
 
 # argument specs: (name, add_argument keywords)
 _SYSTEM = (
-    ("--system", dict(required=True, choices=[case.value for case in Case],
+    ("--system", dict(required=True, choices=["three_coprime", "three_divides"],
                       help="which case of the 3 | N split to build")),
     ("--f3-min2", dict(choices=["on", "off"], default="off",
                        help="include the extra constraint f3 >= 2 "
                             "(three_divides only; default off)")),
 )
 _JOBS = ("--jobs", dict(type=_positive_int, default=None,
-                        help="worker processes (default: all cores); "
+                        help="worker processes (default: all usable cores); "
                              "results do not depend on this"))
 _SLOPE = ("--slope", dict(required=True, type=_rational))
 _FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
@@ -258,7 +286,7 @@ _COMMANDS = (
         ("--max", dict(required=True, type=_positive_int)),
         _JOBS, _FORMAT_CSV)),
     ("classify", cmd_classify, "bucket and residue of one odd prime above 3", (
-        ("p", dict(type=int)),
+        ("p", dict(type=_integer)),
         _FORMAT)),
     ("scan", cmd_scan, "exact integer minimum of Omega - slope*omega over a box", (
         *_SYSTEM, _SLOPE,
@@ -272,13 +300,13 @@ _COMMANDS = (
 def _parses(parse, text: str) -> bool:
     try:
         parse(text)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         return False
     return True
 
 
 # flags whose value may start with "-", with the parse the value must pass
-_SIGNED = {"--slope": parse_rational, "--slopes": _slope_list}
+_SIGNED = {"--slope": _rational, "--slopes": _slope_list}
 
 
 def _join_signed_values(argv: list) -> list:
@@ -301,7 +329,12 @@ def _join_signed_values(argv: list) -> list:
     return out + argv[i:]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, where only the subcommand named command has its
+    arguments, or every one when command names none. A parse that starts
+    with command reads no other subcommand's arguments, so its help, errors
+    and result are those of the parser with every subcommand built."""
+    named = any(name == command for name, _, _, _ in _COMMANDS)
     parser = argparse.ArgumentParser(
         prog="opnbounds",
         description="Exact-arithmetic bounds on the prime factorization "
@@ -309,16 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, arguments in _COMMANDS:
         sub = commands.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            sub.add_argument(flag, **options)
+        if name == command or not named:
+            for flag, options in arguments:
+                sub.add_argument(flag, **options)
         sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(
-            _join_signed_values(sys.argv[1:] if argv is None else list(argv)))
+        args = build_parser(argv[0] if argv else None).parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -15,7 +15,6 @@ oracles in tests/nt_bruteforce.py.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 from typing import NamedTuple
@@ -82,6 +81,8 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
     (a+b+1)/5 when a = b = 2 (mod 3) and (a+b+1)/3 when a = b = 1 (mod 3);
     mixed residues carry no bound. Both a^2+a+1 and b^2+b+1 must be below
     PSI_13, as for classify_prime."""
+    from fractions import Fraction  # here, so census, classify and lemma 2 never load it
+
     if a == b:
         raise ValueError("the pair must be distinct")
     sigma_a, sigma_b = _sigma(a), _sigma(b)
@@ -197,6 +198,8 @@ def _lemma1_chunk(args) -> list:
     max(k)*q, which is 5q for lemma 1, where each class has at most 3 odd
     values. Each pair of primes among them with equal residues and
     a+b+1 < k*q is a violation, with bound (a+b+1)/k."""
+    from fractions import Fraction
+
     max_prime, k_of, qs = args
     flags = odd_prime_flags(3, max(0, (max_prime - 1) // 2))  # 3 + 2j is prime
     k_top = max(k_of.values())

@@ -16,7 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import simplex
+# absolute: "from . import simplex" would reach the package __getattr__,
+# which loads the whole API while this module is half-initialised
+import opnbounds.simplex as simplex
+
 from .certificates import Certificate, verify_certificate
 from .linexpr import LinExpr
 from .model import ConstraintSystem, Relation, Var

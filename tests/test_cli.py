@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opnbounds import cli, enumeration, lemmas
+from opnbounds import cli, enumeration, lemmas, lp
 from opnbounds.certificates import certificate_from_dict, load_certificate, verify_certificate
 from opnbounds.cli import build_parser, main
 from opnbounds.lemmas import Lemma1Violation, Lemma2Solution
@@ -325,7 +325,7 @@ def test_frontier_huge_slope_names_its_flag(capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("frontier ran")
 
-    monkeypatch.setattr(cli, "frontier", no_sweep)
+    monkeypatch.setattr(lp, "frontier", no_sweep)
     code, out, err = run(capsys, "frontier", "--system", "three_coprime",
                          "--slopes", "2," + "1" * 5000)
     assert (code, out) == (2, "")
@@ -345,6 +345,38 @@ def test_huge_slope_names_its_flag_and_the_limit(capsys, command, extra):
                       "(4300 digits) for integer string conversion: value has 5000 "
                       "digits; use sys.set_int_max_str_digits() to increase the limit"]
     assert "1" * 100 not in err
+
+
+_HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("classify", _HUGE), "p"),
+    (("census", "--max", _HUGE), "--max"),
+    (("lemmas", "--which", "1", "--max", _HUGE), "--max"),
+    (("census", "--max", "5", "--jobs", _HUGE), "--jobs"),
+    (("scan", "--system", "three_coprime", "--slope", "2", "--box", _HUGE), "--box"),
+], ids=["classify", "census", "lemmas", "jobs", "scan"])
+def test_huge_integer_names_its_argument_and_the_limit(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"opnbounds {argv[0]}: error: argument {name}: Exceeds the limit "
+                      "(4300 digits) for integer string conversion: value has 5000 "
+                      "digits; use sys.set_int_max_str_digits() to increase the limit"]
+    assert "1" * 100 not in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("classify", "x7"), "argument p: invalid int value: 'x7'"),
+    (("census", "--max", "2.5"), "argument --max: not an integer: '2.5'"),
+    (("census", "--max", "0"), "argument --max: must be positive: 0"),
+    (("census", "--max", "5", "--jobs", "-1"), "argument --jobs: must be positive: -1"),
+])
+def test_bad_integer_keeps_its_message(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"opnbounds {argv[0]}: error: {error}\n")
 
 
 def test_lemmas_one_clean(capsys):
@@ -515,6 +547,35 @@ def test_negative_slope_as_its_own_token(capsys):
         assert err.endswith(f"error: argument {argv[3]}: expected one argument\n")
 
 
+def _full_parser_run(capsys, argv):
+    """Exit code, stdout and stderr of a parse by the parser that gives
+    every subcommand its arguments."""
+    try:
+        cli.build_parser().parse_args(cli._join_signed_values(list(argv)))
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    else:
+        raise AssertionError(f"{argv} parsed")
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# every help screen and a usage error of each kind
+USAGE_CORPUS = [
+    ["--help"], *([name, "--help"] for name, *_ in cli._COMMANDS), [], ["nonsense"],
+    ["census", "--max", "5", "--bogus"], ["optimize", "--slope", "2"],
+    ["describe", "--system", "bogus"], ["lemmas", "--which", "3", "--max", "10"],
+    ["classify"], ["-h", "census"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_CORPUS, ids=" ".join)
+def test_usage_output_matches_the_full_parser(capsys, argv):
+    """main builds arguments for the named subcommand only; its help and
+    errors must not show it."""
+    assert run(capsys, *argv) == _full_parser_run(capsys, argv)
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "frontier", "--help")[0] == 0
@@ -645,7 +706,7 @@ def test_optimize_out_frozen(capsys, tmp_path):
 def test_lemma_rows_frozen(capsys, monkeypatch):
     """The row layout of lemma 1 violations and odd-prime lemma 2
     solutions, which no real scan produces."""
-    monkeypatch.setattr(cli, "lemma1_scan", lambda limit, jobs: [
+    monkeypatch.setattr(lemmas, "lemma1_scan", lambda limit, jobs: [
         Lemma1Violation(5, 11, 7, Fraction(17, 5)), Lemma1Violation(7, 13, 3, Fraction(7))])
     base = ["lemmas", "--which", "1", "--max", "20"]
     assert run(capsys, *base) == (
@@ -657,7 +718,7 @@ def test_lemma_rows_frozen(capsys, monkeypatch):
            '      "bound": "17/5"\n    },\n    {\n      "a": 7,\n      "b": 13,\n'
            '      "p": 3,\n      "bound": "7"\n    }\n  ]\n}\n', "")
 
-    monkeypatch.setattr(cli, "lemma2_scan", lambda limit: [
+    monkeypatch.setattr(lemmas, "lemma2_scan", lambda limit: [
         Lemma2Solution(2, 4, 7), Lemma2Solution(5, 9, 31)])
     base = ["lemmas", "--which", "2", "--max", "20"]
     assert run(capsys, *base) == (
@@ -675,7 +736,7 @@ _SYSTEM = ((["--system"], "system", None, ["three_coprime", "three_divides"], No
            (["--f3-min2"], "f3_min2", None, ["on", "off"], "off", False,
             "include the extra constraint f3 >= 2 (three_divides only; default off)"))
 _JOBS = (["--jobs"], "jobs", "_positive_int", None, None, False,
-         "worker processes (default: all cores); results do not depend on this")
+         "worker processes (default: all usable cores); results do not depend on this")
 _HELP = (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
          "show this help message and exit")
 
@@ -713,7 +774,7 @@ PARSER_SHAPE = {
         _JOBS, _format("text", "csv", "json")]),
     "classify": ("bucket and residue of one odd prime above 3", [
         _HELP,
-        ([], "p", "int", None, None, True, None),
+        ([], "p", "_integer", None, None, True, None),
         _format("text", "json")]),
     "scan": ("exact integer minimum of Omega - slope*omega over a box", [
         _HELP, *_SYSTEM,

@@ -1,8 +1,10 @@
-"""A CLI process imports no pool, pickle, json, csv or dataclasses module: a
-scan forks its workers only when it fans out to more than one, with at most
+"""A CLI process imports only the package modules its subcommand runs, and
+no pool, pickle, json, csv or dataclasses module: a scan forks its workers only when it fans out to more than one, with at most
 one per usable core, and the output modules load only for the format that
 needs them. Every child a fan-out forks is reaped before run_chunks returns
 or raises."""
+import ast
+import importlib
 import os
 import signal
 import subprocess
@@ -39,6 +41,74 @@ def test_cli_import_leaves_out_multiprocessing_and_dataclasses():
     proc = _python("-c", _PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# runs `python -m opnbounds` with the arguments after -c, then prints the
+# loaded modules on stderr
+_FOOTPRINT = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+              "runpy.run_module('opnbounds', run_name='__main__', alter_sys=True)")
+
+
+def _modules(*names) -> set:
+    return {f"opnbounds.{name}" for name in names}
+
+
+_LAYERS = _modules("cli", "model", "linexpr", "rationals", "simplex", "lp", "certificates",
+                   "enumeration", "primes", "lemmas", "workers")
+# per command, modules its process must not load
+_LEFT_OUT = {
+    **dict.fromkeys(("classify", "census", "lemmas"), {
+        *_modules("model", "linexpr", "rationals", "lp", "simplex", "certificates",
+                  "enumeration"), "fractions", "decimal"}),
+    **dict.fromkeys(("optimize", "verify", "frontier"),
+                    _modules("lemmas", "primes", "enumeration")),
+    "describe": _modules("lp", "simplex", "certificates", "lemmas", "primes"),
+}
+_CERT = str(SRC.parent / "certificates" / "paper_no3.json")
+
+
+def _loaded(*argv) -> set:
+    proc = _python("-c", _FOOTPRINT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "7"),
+    ("census", "--max", "1000", "--jobs", "1"),
+    ("lemmas", "--which", "2", "--max", "100"),
+    ("optimize", "--system", "three_coprime", "--slope", "8/3"),
+    ("verify", "--system", "three_coprime", "--cert", _CERT),
+    ("frontier", "--system", "three_coprime", "--slopes", "2,8/3"),
+    ("describe", "--system", "three_coprime"),
+], ids=lambda argv: argv[0])
+def test_subcommand_imports_only_what_it_runs(argv):
+    assert _loaded(*argv) & _LEFT_OUT[argv[0]] == set()
+
+
+def test_package_import_loads_no_submodule():
+    proc = _python("-c", "import opnbounds, sys; "
+                         "print(sorted(m for m in sys.modules if m.startswith('opnbounds')))")
+    assert (proc.returncode, proc.stdout) == (0, "['opnbounds']\n")
+
+
+def test_importing_cli_from_the_package_loads_every_layer():
+    """The benchmark's tracer reads every layer module from sys.modules
+    after `from opnbounds import cli`."""
+    proc = _python("-c", "from opnbounds import cli; import sys; "
+                         "print(sorted(m for m in sys.modules if m.startswith('opnbounds.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert set(ast.literal_eval(proc.stdout)) == _LAYERS
+
+
+def test_every_exported_name_is_its_modules_object():
+    for name in opnbounds.__all__:
+        value = getattr(opnbounds, name)
+        assert value.__module__.startswith("opnbounds."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        opnbounds.no_such_name
 
 
 def test_run_chunks_pool_returns_the_serial_list(monkeypatch):
