@@ -3,15 +3,20 @@
 Every command is deterministic: the same flags produce byte-identical
 output. Rationals print as n/d strings, never as decimals. Exit codes:
 0 success or pass, 1 domain failure (failed verification, unbounded slope,
-lemma violations), 2 usage, parse or output errors.
+lemma violations), 2 usage, parse or output errors. A write to stdout
+that fails, as on a full disk or a closed pipe, exits 2 with one line
+"error: cannot write output: ..." on stderr.
 
 A handler imports the modules it runs when it runs, and build_parser
 gives arguments only to the subcommand named first, so a process loads
-only what its subcommand uses.
+only what its subcommand uses. A process runs the CLI through run, which
+freezes the heap (gc.freeze) when main returns, so the collections of
+interpreter teardown skip every object left; main itself never freezes.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -62,25 +67,32 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
+class _OutputError(Exception):
+    """The OSError of a failed write to stdout; str() gives its message."""
+
+
 def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
     """Print one result: payload as JSON, header and rows as CSV (booleans
     spelled as in JSON), or else the text lines. Fractions are spelled n/d
-    in all three."""
-    if fmt == "json":
-        import json
+    in all three. A failed write raises _OutputError."""
+    try:
+        if fmt == "json":
+            import json
 
-        from .rationals import format_rational
-        print(json.dumps(payload, indent=2, ensure_ascii=False, default=format_rational))
-    elif fmt == "csv":
-        import csv
-        import json
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([json.dumps(cell) if isinstance(cell, bool) else cell
-                          for cell in row] for row in rows)
-    else:
-        for line in text:
-            print(line)
+            from .rationals import format_rational
+            print(json.dumps(payload, indent=2, ensure_ascii=False, default=format_rational))
+        elif fmt == "csv":
+            import csv
+            import json
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([json.dumps(cell) if isinstance(cell, bool) else cell
+                              for cell in row] for row in rows)
+        else:
+            for line in text:
+                print(line)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def cmd_verify(args) -> int:
@@ -358,5 +370,31 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """main(argv) for a process that exits when this returns.
+
+    stdout is flushed here, so a write that fails, in _emit or in this
+    flush, exits 2 with one error line; fd 1 then points at os.devnull, so
+    the interpreter's own exit flush of what is left stays silent. Any
+    other exception propagates. Last, gc.freeze() moves every object the
+    GC tracks to the permanent generation, which the collections of
+    interpreter teardown skip.
+    """
+    try:
+        code = main(argv)
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            raise _OutputError(exc) from exc
+    except _OutputError as exc:
+        code = _error(f"cannot write output: {exc}")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
