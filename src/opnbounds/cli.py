@@ -71,6 +71,18 @@ class _OutputError(Exception):
     """The OSError of a failed write to stdout; str() gives its message."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage on stdout are written by _emit,
+    so a failed write raises _OutputError; argparse's own write swallows
+    the OSError. Subparsers take this class too."""
+
+    def _print_message(self, message, file=None):
+        # sys.stdout is None when fd 1 was closed at start-up
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        _emit("text", message.splitlines())
+
+
 def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
     """Print one result: payload as JSON, header and rows as CSV (booleans
     spelled as in JSON), or else the text lines. Fractions are spelled n/d
@@ -186,7 +198,10 @@ def cmd_lemmas(args) -> int:
     from .lemmas import lemma1_scan, lemma2_scan
     if args.which == "1":
         key, header = "violations", ("a", "b", "p", "bound")
-        rows = [(v.a, v.b, v.p, v.bound) for v in lemma1_scan(args.max, jobs=args.jobs)]
+        try:
+            rows = [(v.a, v.b, v.p, v.bound) for v in lemma1_scan(args.max, jobs=args.jobs)]
+        except ValueError as exc:
+            return _error(exc)
         failures = len(rows)
         text, shown = [f"{failures} violations"], header
     else:
@@ -206,7 +221,10 @@ def cmd_lemmas(args) -> int:
 
 def cmd_census(args) -> int:
     from .lemmas import BUCKETS, CELLS, RESIDUES, bucket_census
-    counts = bucket_census(args.max, jobs=args.jobs)
+    try:
+        counts = bucket_census(args.max, jobs=args.jobs)
+    except ValueError as exc:
+        return _error(exc)
     rows = [(bucket, residue, counts[(bucket, residue)]) for bucket, residue in CELLS]
     _emit(args.format,
           [f"{bucket} residue {residue}: {count}" for bucket, residue, count in rows],
@@ -347,7 +365,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     with command reads no other subcommand's arguments, so its help, errors
     and result are those of the parser with every subcommand built."""
     named = any(name == command for name, _, _, _ in _COMMANDS)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opnbounds",
         description="Exact-arithmetic bounds on the prime factorization "
                     "shape of odd perfect numbers")

@@ -11,6 +11,12 @@ The range scans factor no single value: the census runs a polynomial sieve
 over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
 lemma 2 follows a Pell recurrence. The direct loops they replace are test
 oracles in tests/nt_bruteforce.py.
+
+The census and lemma 1 each sieve their range once, in the calling process:
+one odd_prime_flags array gives the primes q they walk, and every census
+segment and lemma 1 worker reads its flags from that same array, which
+forked workers inherit. Their largest ranges are MAX_CENSUS and MAX_LEMMA1;
+a larger one raises ValueError before any sieving.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from itertools import compress
 from math import gcd
 from typing import NamedTuple
 
-from .primes import PSI_13, factorize, is_prime, odd_prime_flags, sieve
+from .primes import PSI_13, factorize, is_prime, odd_prime_flags
 from .workers import effective_jobs, run_chunks
 
 BUCKETS = ("S1", "S2", "S3plus")
@@ -28,6 +34,13 @@ CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 
 # odd n per sieve segment; bounds the arrays one worker holds
 _SEGMENT = 1 << 18
+
+# the largest max of each range scan, for the time budget of MAX_BOX: at
+# these the census took 6.1-6.4 s and lemma 1 5.3-5.9 s (2-core host,
+# CPython 3.11.7, jobs 1). MAX_CENSUS also keeps n^2+n+1 within the 64-bit
+# array of _census_chunk, which overflows for n past 2^32.
+MAX_CENSUS = 8 * 10**6
+MAX_LEMMA1 = 10**7
 
 
 class PrimeClass(NamedTuple):
@@ -109,18 +122,27 @@ def _root(q: int) -> int:
     return w
 
 
+def _primes_1_mod_3(flags: bytearray, limit: int) -> array:
+    """The primes q = 1 (mod 3) up to limit, from flags = odd_prime_flags(limit).
+    Such q are odd, so they are among 7, 13, 19, ...: every third flag from 7's."""
+    return array("L", compress(range(7, limit + 1, 6), flags[2::3]))
+
+
 def _segments(limit: int, jobs: int | None) -> list:
-    """Sieve segments (lo, size, qs, ws) of the odd n = lo + 2j, j < size, in
-    [5, limit]: one per job at least, none longer than _SEGMENT. qs are the
-    primes q = 1 (mod 3) up to limit, ws a root of x^2+x+1 modulo each."""
+    """Sieve segments (lo, size, flags, qs, ws) of the odd n = lo + 2j,
+    j < size, in [5, limit]: one per job at least, none longer than
+    _SEGMENT. flags are odd_prime_flags(limit), shared by every segment; qs
+    are the primes q = 1 (mod 3) up to limit, ws a root of x^2+x+1 modulo
+    each."""
     total = (limit - 3) // 2
     if total <= 0:
         return []
-    qs = array("L", (q for q in sieve(limit) if q % 3 == 1))
+    flags = odd_prime_flags(limit)
+    qs = _primes_1_mod_3(flags, limit)
     ws = array("L", map(_root, qs))
     parts = max(effective_jobs(jobs, total), -(-total // _SEGMENT))
     edges = [total * k // parts for k in range(parts + 1)]
-    return [(5 + 2 * a, b - a, qs, ws) for a, b in zip(edges, edges[1:])]
+    return [(5 + 2 * a, b - a, flags, qs, ws) for a, b in zip(edges, edges[1:])]
 
 
 def _census_chunk(segment) -> list:
@@ -132,9 +154,10 @@ def _census_chunk(segment) -> list:
     (mod q), so each q up to the top hi walks those two classes. What is
     left has only prime factors above hi >= n and is below (n+1)^2: 1 or a
     prime."""
-    lo, size, qs, ws = segment
+    lo, size, flags, qs, ws = segment
     hi = lo + 2 * size - 2
-    flags = odd_prime_flags(lo, size)
+    start = (lo - 3) >> 1
+    flags = flags[start:start + size]  # flags[j]: lo + 2j is prime
     counts = bytearray(size)  # prime factors found, with multiplicity
     rest = array("Q", bytes(8 * size))  # what is left of n^2+n+1
     live = list(compress(range(size), flags))
@@ -165,7 +188,11 @@ def _census_chunk(segment) -> list:
 
 def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     """Counts of odd primes 3 < p <= max_prime per (bucket, residue) cell;
-    all six cells are present, empty ones as zero."""
+    all six cells are present, empty ones as zero. A max_prime past
+    MAX_CENSUS raises ValueError before any sieving."""
+    if max_prime > MAX_CENSUS:
+        raise ValueError(f"max {max_prime} is larger than {MAX_CENSUS}, "
+                         f"the largest census max")
     parts = run_chunks(_census_chunk, _segments(max_prime, jobs), jobs)
     return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
 
@@ -185,7 +212,8 @@ _LEMMA1_K = {1: 3, 2: 5}
 def _lemma1_chunk(args) -> list:
     """Lemma 1 violations, with k_of the bound's k per residue, among the
     primes 3 < a < b <= max_prime whose shared prime is one of qs, a
-    stride of the primes below 2*max_prime that are 3 or 1 (mod 3).
+    stride of the primes below 2*max_prime that are 3 or 1 (mod 3); flags
+    are odd_prime_flags of at least max_prime.
 
     Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
     q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
@@ -200,8 +228,7 @@ def _lemma1_chunk(args) -> list:
     a+b+1 < k*q is a violation, with bound (a+b+1)/k."""
     from fractions import Fraction
 
-    max_prime, k_of, qs = args
-    flags = odd_prime_flags(3, max(0, (max_prime - 1) // 2))  # 3 + 2j is prime
+    max_prime, k_of, flags, qs = args
     k_top = max(k_of.values())
     out = []
     for q in qs:
@@ -219,10 +246,15 @@ def _lemma1_chunk(args) -> list:
 def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     """Check every same-residue pair of odd primes 3 < a < b <= max_prime:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
-    bound. Returns violations sorted by (a, b, p); the expectation is none."""
-    qs = [q for q in sieve(2 * max_prime) if q % 3 == 1 or q == 3]
+    bound. Returns violations sorted by (a, b, p); the expectation is none.
+    A max_prime past MAX_LEMMA1 raises ValueError before any sieving."""
+    if max_prime > MAX_LEMMA1:
+        raise ValueError(f"max {max_prime} is larger than {MAX_LEMMA1}, "
+                         f"the largest lemma 1 max")
+    flags = odd_prime_flags(2 * max_prime)
+    qs = array("L", [3]) + _primes_1_mod_3(flags, 2 * max_prime)
     parts = effective_jobs(jobs, len(qs))
-    chunks = [(max_prime, _LEMMA1_K, qs[k::parts]) for k in range(parts)]
+    chunks = [(max_prime, _LEMMA1_K, flags, qs[k::parts]) for k in range(parts)]
     violations = [v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part]
     return sorted(violations, key=lambda v: (v.a, v.b, v.p))
 

@@ -19,27 +19,21 @@ PSI_13 = 3317044064679887385961981
 _TRIAL_BOUND = 1000
 
 
-def odd_prime_flags(lo: int, size: int) -> bytearray:
-    """flags[j] is 1 exactly when lo + 2j is prime; lo is odd and >= 3."""
-    flags = bytearray([1]) * size
-    for p in sieve(isqrt(lo + 2 * size - 2))[1:]:
-        start = max(p * p, (lo + p - 1) // p * p)
-        if not start & 1:
-            start += p
-        j = (start - lo) >> 1  # odd multiples of p step by 2p, which is p in j
-        flags[j::p] = bytes(len(range(j, size, p)))
+def odd_prime_flags(limit: int) -> bytearray:
+    """flags[j] is 1 exactly when 3 + 2j is prime, for the odd 3 + 2j <= limit."""
+    flags = bytearray([1]) * max(0, (limit - 1) // 2)
+    for p in range(3, isqrt(max(limit, 0)) + 1, 2):
+        if flags[(p - 3) >> 1]:
+            j = (p * p - 3) >> 1  # odd multiples of p step by 2p, which is p in j
+            flags[j::p] = bytes(len(range(j, len(flags), p)))
     return flags
 
 
 def sieve(limit: int) -> list:
-    """All primes <= limit, sieving the odd numbers one segment at a time."""
+    """All primes <= limit."""
     if limit < 2:
         return []
-    primes, step = [2], max(isqrt(limit), 1 << 16)  # step: odd numbers per segment
-    for lo in range(3, limit + 1, 2 * step):
-        size = min(step, (limit - lo) // 2 + 1)
-        primes.extend(compress(range(lo, lo + 2 * size, 2), odd_prime_flags(lo, size)))
-    return primes
+    return [2, *compress(range(3, limit + 1, 2), odd_prime_flags(limit))]
 
 
 def is_prime(n: int) -> bool:

@@ -497,6 +497,18 @@ def test_scan_box_past_the_cap_exits_2(capsys, monkeypatch):
                        f"the largest scan box for {system}\n")
 
 
+def test_census_and_lemma1_past_their_caps_exit_2(capsys, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the scan sieved")
+
+    monkeypatch.setattr(lemmas, "odd_prime_flags", no_sieve)
+    for argv, cap, scan in ((["census"], 8 * 10**6, "census"),
+                            (["lemmas", "--which", "1"], 10**7, "lemma 1")):
+        code, out, err = run(capsys, *argv, "--max", str(cap + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: max {cap + 1} is larger than {cap}, the largest {scan} max\n"
+
+
 def test_scan_json(capsys):
     code, out, _ = run(capsys, "scan", "--system", "three_divides",
                        "--slope", "21/8", "--box", "4", "--jobs", "1",

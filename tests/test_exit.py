@@ -86,6 +86,16 @@ def test_full_device_exits_2_with_one_line(unbuffered):
         2, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]], ids=["help", "census-help"])
+def test_help_to_full_device_exits_2_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _process(argv, stdout=full, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: cannot write output: [Errno 28] No space left on device\n")
+
+
 def test_stdout_closed_at_start_exits_0():
     """With fd 1 closed before start-up, sys.stdout is None and print writes
     nothing; run's final flush must not fail on it."""

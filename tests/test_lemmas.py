@@ -8,11 +8,11 @@ import pytest
 
 from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
                            brute_shared_triples)
-from opnbounds import lemmas, workers
+from opnbounds import lemmas, primes, workers
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
                               lemma2_violations, shared_primes)
-from opnbounds.primes import PSI_13, is_prime, sieve
+from opnbounds.primes import PSI_13, is_prime, odd_prime_flags, sieve
 
 # counts pinned from an independent factoring library
 CENSUS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "census_reference.json"
@@ -227,6 +227,44 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
         assert bucket_census(20000, jobs=jobs) == want, jobs
 
 
+def test_each_scan_sieves_its_range_once(monkeypatch):
+    calls = {"odd_prime_flags": 0, "sieve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lemmas, "_SEGMENT", 777)  # about 13 census segments
+    monkeypatch.setattr(lemmas, "odd_prime_flags",
+                        counting("odd_prime_flags", lemmas.odd_prime_flags))
+    monkeypatch.setattr(primes, "sieve", counting("sieve", primes.sieve))
+    # also a sieve that lemmas imports by name
+    monkeypatch.setattr(lemmas, "sieve", counting("sieve", primes.sieve), raising=False)
+    assert bucket_census(20000, jobs=1) == brute_census(20000)
+    assert calls == {"odd_prime_flags": 1, "sieve": 0}
+    assert lemma1_scan(600, jobs=1) == []
+    assert calls == {"odd_prime_flags": 2, "sieve": 0}
+
+
+def test_scan_caps():
+    assert (lemmas.MAX_CENSUS, lemmas.MAX_LEMMA1) == (8 * 10**6, 10**7)
+    # _census_chunk holds n^2+n+1 in 64 bits, which n past 2^32 overflows
+    assert lemmas.MAX_CENSUS < 2**32
+
+
+def test_scans_past_their_caps_raise_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the scan sieved")
+
+    monkeypatch.setattr(lemmas, "odd_prime_flags", no_sieve)
+    with pytest.raises(ValueError, match="larger than 8000000, the largest census max"):
+        bucket_census(lemmas.MAX_CENSUS + 1)
+    with pytest.raises(ValueError, match="larger than 10000000, the largest lemma 1 max"):
+        lemma1_scan(lemmas.MAX_LEMMA1 + 1)
+
+
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
     monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     # with k = 10^9 every shared prime breaks the bound, so the walk must
@@ -255,7 +293,7 @@ def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
              if a < b and a % 3 == b % 3]
     want = {(a, b, 13, Fraction(a + b + 1, k_of[a % 3])) for a, b in pairs
             if a + b + 1 < k_of[a % 3] * 13}
-    found = lemmas._lemma1_chunk((500, k_of, [13]))
+    found = lemmas._lemma1_chunk((500, k_of, odd_prime_flags(500), [13]))
     assert {(v.a, v.b, v.p, v.bound) for v in found} == want
     assert len(found) == len(want) == 10
     assert len(pairs) - len(want) == 28  # same-residue pairs past the limit

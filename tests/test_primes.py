@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from opnbounds.primes import PSI_13, factorize, is_prime, sieve
+from opnbounds.primes import PSI_13, factorize, is_prime, odd_prime_flags, sieve
 
 
 def _trial_primes(limit):
@@ -21,6 +21,13 @@ def test_sieve_matches_trial_division():
     big = sieve(70000)
     assert len(big) == len(set(big))
     assert big[:4] == [2, 3, 5, 7]
+
+
+def test_odd_prime_flags_match_trial_division():
+    for limit in [-3, *range(301), 70000]:
+        marks = set(_trial_primes(limit))
+        want = bytearray(n in marks for n in range(3, limit + 1, 2))
+        assert odd_prime_flags(limit) == want, limit
 
 
 def test_is_prime_small_exhaustive():
