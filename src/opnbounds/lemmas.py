@@ -12,11 +12,14 @@ over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
 lemma 2 follows a Pell recurrence. The direct loops they replace are test
 oracles in tests/nt_bruteforce.py.
 
-The census and lemma 1 each sieve their range once, in the calling process:
-one odd_prime_flags array gives the primes q they walk, and every census
-segment and lemma 1 worker reads its flags from that same array, which
-forked workers inherit. Their largest ranges are MAX_CENSUS and MAX_LEMMA1;
-a larger one raises ValueError before any sieving.
+The census and lemma 1 each sieve their range [3, max] once, in the calling
+process, through one helper, _root_table: one odd_prime_flags array gives
+the primes q they walk and one pass finds a root of x^2+x+1 modulo each q,
+and every census segment and lemma 1 worker reads those same arrays, which
+forked workers inherit. Lemma 1 needs no q past max, because a shared prime
+of a same-residue pair is below it (see _lemma1_chunk). Their largest
+ranges are MAX_CENSUS and MAX_LEMMA1; a larger one raises ValueError before
+any sieving.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 _SEGMENT = 1 << 18
 
 # the largest max of each range scan, for the time budget of MAX_BOX: at
-# these the census took 6.1-6.4 s and lemma 1 5.3-5.9 s (2-core host,
+# these the census took 6.1-6.4 s and lemma 1 1.9-2.7 s (2-core host,
 # CPython 3.11.7, jobs 1). MAX_CENSUS also keeps n^2+n+1 within the 64-bit
 # array of _census_chunk, which overflows for n past 2^32.
 MAX_CENSUS = 8 * 10**6
@@ -81,6 +84,11 @@ def classify_prime(p: int) -> PrimeClass:
     return PrimeClass(p, p % 3, sigma, tuple(factorize(sigma)))
 
 
+# lemma 1: a prime shared by a^2+a+1 and b^2+b+1, a = b (mod 3), is at most
+# (a+b+1)/k, with k by the residue
+_LEMMA1_K = {1: 3, 2: 5}
+
+
 class SharedPrimes(NamedTuple):
     a: int
     b: int
@@ -104,42 +112,38 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
             raise ValueError(f"needs odd primes above 3, got {p}")
     g = gcd(sigma_a, sigma_b)
     common = tuple(sorted(set(factorize(g)))) if g > 1 else ()
-    if a % 3 == b % 3:
-        bound = Fraction(a + b + 1, 5 if a % 3 == 2 else 3)
-    else:
-        bound = None
+    bound = Fraction(a + b + 1, _LEMMA1_K[a % 3]) if a % 3 == b % 3 else None
     return SharedPrimes(min(a, b), max(a, b), common, bound)
 
 
 def _root(q: int) -> int:
-    """A root w of x^2+x+1 modulo a prime q = 3 or q = 1 (mod 3); the other
-    root is q-1-w, the same one when q = 3."""
-    if q == 3:
-        return 1
+    """A root w of x^2+x+1 modulo a prime q = 1 (mod 3); the other root is
+    q-1-w."""
     a = 2  # w = a^((q-1)/3) has w^3 = 1, so w != 1 makes w^2+w+1 = 0
     while (w := pow(a, (q - 1) // 3, q)) == 1:
         a += 1
     return w
 
 
-def _primes_1_mod_3(flags: bytearray, limit: int) -> array:
-    """The primes q = 1 (mod 3) up to limit, from flags = odd_prime_flags(limit).
-    Such q are odd, so they are among 7, 13, 19, ...: every third flag from 7's."""
-    return array("L", compress(range(7, limit + 1, 6), flags[2::3]))
+def _root_table(limit: int) -> tuple:
+    """(flags, qs, ws) over [3, limit], the one sieve and root pass of both
+    n^2+n+1 scans: flags = odd_prime_flags(limit), qs the primes q = 1
+    (mod 3) up to limit, ws a root of x^2+x+1 modulo each. Such q are odd,
+    so they are among 7, 13, 19, ...: every third flag from 7's."""
+    flags = odd_prime_flags(limit)
+    qs = array("L", compress(range(7, limit + 1, 6), flags[2::3]))
+    return flags, qs, array("L", map(_root, qs))
 
 
 def _segments(limit: int, jobs: int | None) -> list:
     """Sieve segments (lo, size, flags, qs, ws) of the odd n = lo + 2j,
     j < size, in [5, limit]: one per job at least, none longer than
-    _SEGMENT. flags are odd_prime_flags(limit), shared by every segment; qs
-    are the primes q = 1 (mod 3) up to limit, ws a root of x^2+x+1 modulo
-    each."""
+    _SEGMENT. flags, qs and ws are _root_table(limit), shared by every
+    segment."""
     total = (limit - 3) // 2
     if total <= 0:
         return []
-    flags = odd_prime_flags(limit)
-    qs = _primes_1_mod_3(flags, limit)
-    ws = array("L", map(_root, qs))
+    flags, qs, ws = _root_table(limit)
     parts = max(effective_jobs(jobs, total), -(-total // _SEGMENT))
     edges = [total * k // parts for k in range(parts + 1)]
     return [(5 + 2 * a, b - a, flags, qs, ws) for a, b in zip(edges, edges[1:])]
@@ -204,35 +208,35 @@ class Lemma1Violation(NamedTuple):
     bound: Fraction
 
 
-# lemma 1: a prime shared by a^2+a+1 and b^2+b+1, a = b (mod 3), is at most
-# (a+b+1)/k, with k by the residue
-_LEMMA1_K = {1: 3, 2: 5}
-
-
 def _lemma1_chunk(args) -> list:
     """Lemma 1 violations, with k_of the bound's k per residue, among the
     primes 3 < a < b <= max_prime whose shared prime is one of qs, a
-    stride of the primes below 2*max_prime that are 3 or 1 (mod 3); flags
-    are odd_prime_flags of at least max_prime.
+    stride of the primes up to max_prime that are 3 or 1 (mod 3), and ws
+    the matching stride of roots of x^2+x+1 (1 for q = 3); flags are
+    odd_prime_flags of at least max_prime.
 
     Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
     q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
-    q | b^2+b+1 exactly when b = a or b = -1-a (mod q), so a shared q is at
-    most a+b+1 < 2*max_prime: qs over all strides hold every shared prime.
-    q | n^2+n+1 exactly when n = w or q-1-w (mod q), with w from _root
-    (both 1 when q = 3). If a is one root, -1-a is the other, so a and b
-    lie in the same two classes. A violation needs a+b+1 < k*q, so
-    a < k*q/2 and b <= min(max_prime, k*q - a - 2): both are below
-    max(k)*q, which is 5q for lemma 1, where each class has at most 3 odd
-    values. Each pair of primes among them with equal residues and
-    a+b+1 < k*q is a violation, with bound (a+b+1)/k."""
+    q | b^2+b+1 exactly when b = a or b = -1-a (mod q). A shared q is below
+    max_prime: if q | b-a, then q <= b-a < max_prime. Otherwise
+    a+b+1 = m*q, and m = 1 is impossible: q = 3 is below a+b+1, and a prime
+    q > 3 dividing n^2+n+1 is 1 (mod 3), while a = b (mod 3) makes a+b+1
+    = 2a+1 (mod 3), so q = a+b+1 would force 3 | a. So m >= 2 and
+    q <= (a+b+1)/2 < max_prime: qs over all strides hold every shared
+    prime. q | n^2+n+1 exactly when n = w or q-1-w (mod q), the same class
+    when q = 3. If a is one root, -1-a is the other, so a and b lie in the
+    same two classes. A violation needs a+b+1 < k*q, so a < k*q/2 and
+    b <= min(max_prime, k*q - a - 2): both are below max(k)*q, which is 5q
+    for lemma 1, where each class has at most 3 odd values. Each pair of
+    primes among them with equal residues and a+b+1 < k*q is a violation,
+    with bound (a+b+1)/k."""
     from fractions import Fraction
 
-    max_prime, k_of, flags, qs = args
+    max_prime, k_of, flags, qs, ws = args
     k_top = max(k_of.values())
     out = []
-    for q in qs:
-        w, top = _root(q), min(max_prime, k_top * q)
+    for q, w in zip(qs, ws):
+        top = min(max_prime, k_top * q)
         found = sorted(n for r in {w, q - 1 - w}
                        for n in range(r if r % 2 else r + q, top + 1, 2 * q)
                        if n > 3 and flags[(n - 3) // 2])
@@ -251,10 +255,11 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     if max_prime > MAX_LEMMA1:
         raise ValueError(f"max {max_prime} is larger than {MAX_LEMMA1}, "
                          f"the largest lemma 1 max")
-    flags = odd_prime_flags(2 * max_prime)
-    qs = array("L", [3]) + _primes_1_mod_3(flags, 2 * max_prime)
+    flags, qs, ws = _root_table(max_prime)
+    qs, ws = array("L", [3]) + qs, array("L", [1]) + ws  # q = 3 has the one root w = 1
     parts = effective_jobs(jobs, len(qs))
-    chunks = [(max_prime, _LEMMA1_K, flags, qs[k::parts]) for k in range(parts)]
+    chunks = [(max_prime, _LEMMA1_K, flags, qs[k::parts], ws[k::parts])
+              for k in range(parts)]
     violations = [v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part]
     return sorted(violations, key=lambda v: (v.a, v.b, v.p))
 

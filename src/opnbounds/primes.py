@@ -37,7 +37,10 @@ def sieve(limit: int) -> list:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the bases in _MR_BASES, proven correct for n < PSI_13."""
+    """Miller-Rabin on the bases in _MR_BASES, proven correct for n < PSI_13.
+    An n that is not an int raises TypeError."""
+    if not isinstance(n, int):
+        raise TypeError(f"n {n!r} is not an int")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -96,7 +99,9 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> list:
     """Sorted prime factors of n >= 1, with multiplicity; factorize(1) == [].
     Raises ValueError rather than report a cofactor of at least PSI_13 as
-    prime."""
+    prime, and TypeError for an n that is not an int."""
+    if not isinstance(n, int):
+        raise TypeError(f"n {n!r} is not an int")
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     factors = []

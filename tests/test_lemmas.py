@@ -1,7 +1,8 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,13 @@ def test_classification_table():
 def test_classify_rejects_bad_inputs():
     for bad in (2, 3, 9, 1, 0, -5, 221):
         with pytest.raises(ValueError):
+            classify_prime(bad)
+
+
+def test_classify_rejects_non_ints():
+    # through the int checks of is_prime and factorize
+    for bad in (7.0, 13.0, 2.0**40 + 1):
+        with pytest.raises(TypeError, match=f"^n {re.escape(repr(bad))} is not an int$"):
             classify_prime(bad)
 
 
@@ -229,10 +237,13 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
 
 def test_each_scan_sieves_its_range_once(monkeypatch):
     calls = {"odd_prime_flags": 0, "sieve": 0}
+    limits = []  # the limit of each odd_prime_flags call
 
     def counting(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            if name == "odd_prime_flags":
+                limits.extend(args)
             return fn(*args)
         return wrapper
 
@@ -246,6 +257,29 @@ def test_each_scan_sieves_its_range_once(monkeypatch):
     assert calls == {"odd_prime_flags": 1, "sieve": 0}
     assert lemma1_scan(600, jobs=1) == []
     assert calls == {"odd_prime_flags": 2, "sieve": 0}
+    # each scan sieves up to its max and no further
+    assert limits == [20000, 600]
+
+
+def _trial_primes_1_mod_3(limit):
+    return [n for n in range(7, limit + 1, 6) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def test_root_table_matches_trial_division():
+    for limit in [*range(-3, 301), 70000]:
+        flags, qs, ws = lemmas._root_table(limit)
+        assert flags == odd_prime_flags(limit), limit
+        assert list(qs) == _trial_primes_1_mod_3(limit), limit
+        assert len(ws) == len(qs)
+        assert all((w * w + w + 1) % q == 0 for q, w in zip(qs, ws)), limit
+
+
+def test_same_residue_shared_primes_are_at_most_half_of_a_plus_b_plus_1():
+    # why lemma1_scan(max) needs no q past max: a prime shared by a^2+a+1
+    # and b^2+b+1 with a = b (mod 3) is at most (a+b+1)/2 < max
+    same = [(a, b, q) for a, b, q in brute_shared_triples(1000) if a % 3 == b % 3]
+    assert len(same) == 4148
+    assert all(2 * q <= a + b + 1 for a, b, q in same)
 
 
 def test_scan_caps():
@@ -293,7 +327,8 @@ def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
              if a < b and a % 3 == b % 3]
     want = {(a, b, 13, Fraction(a + b + 1, k_of[a % 3])) for a, b in pairs
             if a + b + 1 < k_of[a % 3] * 13}
-    found = lemmas._lemma1_chunk((500, k_of, odd_prime_flags(500), [13]))
+    found = lemmas._lemma1_chunk((500, k_of, odd_prime_flags(500), [13],
+                                  [lemmas._root(13)]))
     assert {(v.a, v.b, v.p, v.bound) for v in found} == want
     assert len(found) == len(want) == 10
     assert len(pairs) - len(want) == 28  # same-residue pairs past the limit

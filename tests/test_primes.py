@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,15 @@ def test_factorize_semiprime_past_trial_bound():
     assert factorize(p * p) == [p, p]
     # mixed: small * large
     assert factorize(12 * p) == [2, 2, 3, p]
+
+
+def test_is_prime_and_factorize_reject_non_ints():
+    # a float would pass the trial division and come back as float factors
+    # ([3, 19.0] for 57.0), or die inside pow
+    for bad in (7.0, 57.0, 6.0, 1.0, 2.0**40 + 1, "7", None):
+        for fn in (is_prime, factorize):
+            with pytest.raises(TypeError, match=f"^n {re.escape(repr(bad))} is not an int$"):
+                fn(bad)
 
 
 def test_factorize_edges():
