@@ -189,7 +189,11 @@ def load_certificate(path) -> Certificate:
         raise CertificateFormatError(f"not UTF-8: {exc}") from None
     try:
         data = json.loads(text, object_pairs_hook=_strict_object)
-    except json.JSONDecodeError as exc:
+    except CertificateFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, or what the decoder raises past its nesting
+        # depth or CPython's 4300-digit limit on an integer literal
         raise CertificateFormatError(f"invalid JSON: {exc}") from None
     return certificate_from_dict(data)
 

@@ -196,18 +196,19 @@ def cmd_frontier(args) -> int:
 
 def cmd_lemmas(args) -> int:
     from .lemmas import lemma1_scan, lemma2_scan
+    try:
+        found = (lemma1_scan(args.max, jobs=args.jobs) if args.which == "1"
+                 else lemma2_scan(args.max))
+    except ValueError as exc:
+        return _error(exc)
     if args.which == "1":
         key, header = "violations", ("a", "b", "p", "bound")
-        try:
-            rows = [(v.a, v.b, v.p, v.bound) for v in lemma1_scan(args.max, jobs=args.jobs)]
-        except ValueError as exc:
-            return _error(exc)
+        rows = [(v.a, v.b, v.p, v.bound) for v in found]
         failures = len(rows)
         text, shown = [f"{failures} violations"], header
     else:
         key, header = "solutions", ("p", "q", "r", "p_is_odd_prime")
-        rows = [(s.p, s.q, s.r, s.p_is_odd_prime)
-                for s in lemma2_scan(args.max)]
+        rows = [(s.p, s.q, s.r, s.p_is_odd_prime) for s in found]
         failures = sum(row[3] for row in rows)
         text = [f"{failures} odd-prime p solutions" if failures
                 else "no odd-prime p solution", f"incidental solutions: {len(rows)}"]

@@ -19,7 +19,8 @@ and every census segment and lemma 1 worker reads those same arrays, which
 forked workers inherit. Lemma 1 needs no q past max, because a shared prime
 of a same-residue pair is below it (see _lemma1_chunk). Their largest
 ranges are MAX_CENSUS and MAX_LEMMA1; a larger one raises ValueError before
-any sieving.
+any sieving. Lemma 2's largest p is MAX_LEMMA2; a larger one raises
+ValueError before the walk.
 """
 from __future__ import annotations
 
@@ -44,6 +45,11 @@ _SEGMENT = 1 << 18
 # array of _census_chunk, which overflows for n past 2^32.
 MAX_CENSUS = 8 * 10**6
 MAX_LEMMA1 = 10**7
+# lemma 2 runs is_prime on each of its O(log max) p, so its time grows with
+# the digits of max: the whole command took 3.9-4.2 s at this cap and 9.6 s
+# at 10^1500 (same host and Python). Past about 10^2150, r = p^2+p+1 also
+# has more digits than CPython converts to a string.
+MAX_LEMMA2 = 10**1200
 
 
 class PrimeClass(NamedTuple):
@@ -307,7 +313,10 @@ def lemma2_scan(max_p: int) -> list:
     """All positive integer solutions of p^2+p+1 = r, q^2+q+1 = 3r with
     p <= max_p, sorted by p. The supporting lemma says no solution has p an
     odd prime; solutions that do exist (like p = 2) are incidental. The
-    walk takes O(log max_p) steps in one process."""
+    walk takes O(log max_p) steps in one process. A max_p past MAX_LEMMA2
+    raises ValueError before the walk."""
+    if max_p > MAX_LEMMA2:
+        raise ValueError("max is larger than 10^1200, the largest lemma 2 max")
     return _lemma2_chunk(max_p)
 
 

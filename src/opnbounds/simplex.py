@@ -21,8 +21,9 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   cost M/s_i, M the lcm of those s_i, so it minimises M times the sum of
   the input rows' artificials.
 - The tableau is T = D * B^-1 [A | b], where A is the integer matrix above,
-  b its rhs and B its basic columns. A pivot on (r, c) with p = T[r][c]
-  keeps row r and replaces every other row i by
+  b its rhs and B its basic columns. Row i is one list [A_i | b_i], so its
+  rhs is its last column T[i][-1]. A pivot on (r, c) with p = T[r][c]
+  keeps row r and replaces every other row i, rhs included, by
   (p*T[i][j] - T[i][c]*T[r][j]) / D; then D = p, after row r is negated
   when p < 0 (the artificial drive-out may pivot on a negative entry).
 - Every division is exact. Swapping column c into the basis multiplies
@@ -31,17 +32,18 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   rule, and the new rows are D' * B'^-1 [A | b], so they are integers.
 - The objective row is the tableau's last row. It holds L*D times the
   reduced costs, L the lcm of the cost denominators, and minus L*D times
-  the objective's value as its rhs; it is L*(c | 0)*D - (L*c_B) * T,
+  the objective's value in its last column; it is L*(c | 0)*D - (L*c_B) * T,
   integral for the same reason. A pivot updates it like any other row
   but r, and one pricing step, price(), sets it in either phase.
 - The pivots are the Fraction tableau's. Scaling a row, or a column by a
   positive factor, keeps the sign of every reduced cost and the order of
   every ratio b_i / a_i, ties included; the ratio test compares
   b_i * a_k with b_k * a_i, both a positive.
-- Results become Fractions once, at the end: x_j = b_i / D where column j is
-  basic in row i, and the dual of input row i is s_i times the reduced cost
-  of its surplus (inequality) or artificial (equality) column, z / (L*D).
-  That holds for every input row, also when phase 1 dropped a redundant one.
+- Results become Fractions once, at the end: x_j = T[i][-1] / D where
+  column j is basic in row i, and the dual of input row i is s_i times the
+  reduced cost of its surplus (inequality) or artificial (equality)
+  column, z / (L*D). That holds for every input row, also when phase 1
+  dropped a redundant one.
 
 There is one solve path, in two calls, and feasible() is the only place a
 problem enters. It checks the shapes (as many relations and rhs as rows,
@@ -109,55 +111,47 @@ class _Tableau:
         self.art_col = {i: self.first_art + k for k, i in enumerate(art)}
         self.total = self.first_art + len(art)
         self.scale = []             # s_i: input row i times s_i is integral
-        self.rows = []
-        self.b = []
+        self.rows = []              # [A_i | b_i]: the rhs is the last entry
         self.basis = []
         for i, sign in enumerate(self.sigma):
             s, ints = clear_denominators([*rows[i], rhs[i]])
             self.scale.append(s)
-            self.b.append(sign * ints.pop())
-            row = [sign * v for v in ints] + [0] * (self.total - n)
+            row = [sign * v for v in ints[:n]] + [0] * (self.total - n) + [sign * ints[n]]
             if i in self.surplus_col:
                 row[self.surplus_col[i]] = -sign
             if i in self.art_col:
                 row[self.art_col[i]] = 1
             self.basis.append(self.art_col.get(i, self.surplus_col.get(i)))
             self.rows.append(row)
-        self.rows.append([0] * self.total)  # the objective row, set by price()
-        self.b.append(0)
+        self.rows.append([0] * (self.total + 1))  # the objective row, set by price()
         self.d = 1                  # the common denominator D
 
     def copy(self) -> _Tableau:
         """A twin whose pivots leave this tableau as it is."""
         twin = copy.copy(self)
         twin.rows = [row[:] for row in self.rows]
-        twin.b = self.b[:]
         twin.basis = self.basis[:]
         return twin
 
     def price(self, cost):
         """Make the objective row minimise sum(cost[j] * x_j), one int cost
         per column: D times the reduced costs, and minus D times the
-        objective's value as its rhs."""
-        z = [self.d * v for v in cost]
-        value = 0
-        for row, bi, col in zip(self.rows, self.b, self.basis):
+        objective's value as its last entry."""
+        z = [self.d * v for v in cost] + [0]
+        for row, col in zip(self.rows, self.basis):
             cb = cost[col]
             if cb:
                 z = [zj - cb * v for zj, v in zip(z, row)]
-                value += cb * bi
         self.rows[-1] = z
-        self.b[-1] = -value
 
     def pivot(self, r, c):
         """Fraction-free pivot on (r, c); every other row, the objective row
         included, takes the same update."""
-        rows, b, d = self.rows, self.b, self.d
-        prow, br = rows[r], b[r]
+        rows, d = self.rows, self.d
+        prow = rows[r]
         p = prow[c]
         if p < 0:  # negating row r first keeps D positive
             prow = rows[r] = [-v for v in prow]
-            br = b[r] = -br
             p = -p
         for i, row in enumerate(rows):
             if i == r:
@@ -165,17 +159,15 @@ class _Tableau:
             f = row[c]
             if f:
                 rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
-                b[i] = (p * b[i] - f * br) // d
             elif p != d:
                 rows[i] = [p * v // d for v in row]
-                b[i] = p * b[i] // d
         self.d = p
         self.basis[r] = c
 
     def run(self, entering_limit):
         """Bland iterations until "optimal" or "unbounded". entering_limit
         bounds the candidate columns (artificials are barred in phase 2)."""
-        rows, b, basis = self.rows, self.b, self.basis
+        rows, basis = self.rows, self.basis
         limit = _PIVOTS_PER_SIZE * (len(basis) + self.total + 1)
         for _ in range(limit):
             z = rows[-1]
@@ -192,7 +184,7 @@ class _Tableau:
                     continue
                 if leave >= 0:
                     # b_i / a against b_leave / a_leave, both a positive
-                    diff = b[i] * rows[leave][enter] - b[leave] * a
+                    diff = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * a
                     if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
                         continue
                 leave = i
@@ -231,7 +223,7 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
         tb.price(cost)
         if tb.run(tb.total) != "optimal":
             raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
-        if tb.b[-1]:
+        if tb.rows[-1][-1]:
             return None
         _drive_out_artificials(tb)
     return tb
@@ -257,9 +249,9 @@ def solve(start: _Tableau, objective) -> SimplexResult:
     # back to Fractions; zeros add nothing to either side of the duality check
     x = [_ZERO] * n
     value = _ZERO
-    for i, col in enumerate(tb.basis):
-        if col < n and tb.b[i]:
-            x[col] = Fraction(tb.b[i], tb.d)
+    for row, col in zip(tb.rows, tb.basis):
+        if col < n and row[-1]:
+            x[col] = Fraction(row[-1], tb.d)
             value += objective[col] * x[col]
 
     z = tb.rows[-1]
@@ -289,10 +281,9 @@ def _drive_out_artificials(tb: _Tableau) -> None:
     objective row stay exactly what they would be with it. Its basic
     artificial, whichever input row that belongs to, keeps reduced cost 0,
     so solve() reads a dual of 0 for that input row."""
-    art_cols = set(tb.art_col.values())
     r = 0
     while r < len(tb.basis):
-        if tb.basis[r] in art_cols:
+        if tb.basis[r] >= tb.first_art:
             pivot_col = -1
             for j in range(tb.first_art):
                 if tb.rows[r][j]:
@@ -304,7 +295,6 @@ def _drive_out_artificials(tb: _Tableau) -> None:
                 tb.pivot(r, pivot_col)
             else:
                 del tb.rows[r]
-                del tb.b[r]
                 del tb.basis[r]
                 continue
         r += 1

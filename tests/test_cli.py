@@ -80,6 +80,21 @@ def test_verify_undecodable_certificate_exits_2(capsys, tmp_path):
                "invalid start byte\n")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 100000, "maximum recursion depth exceeded"),
+    ("9" * 5000, "Exceeds the limit (4300 digits)"),
+    ('{"system": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+], ids=["nested-arrays", "long-integer", "long-integer-field"])
+def test_verify_json_the_decoder_refuses_exits_2(capsys, tmp_path, text, reason):
+    # json raises these as RecursionError and a plain ValueError, not as
+    # JSONDecodeError; each once ended in a traceback and exit 1
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--system", "three_coprime", "--cert", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid JSON: {reason}") and err.count("\n") == 1
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "--system", "three_coprime",
                        "--cert", CERT_A, "--format", "json")
@@ -502,11 +517,15 @@ def test_census_and_lemma1_past_their_caps_exit_2(capsys, monkeypatch):
         raise AssertionError("the scan sieved")
 
     monkeypatch.setattr(lemmas, "odd_prime_flags", no_sieve)
+    monkeypatch.setattr(lemmas, "_lemma2_chunk", no_sieve)
     for argv, cap, scan in ((["census"], 8 * 10**6, "census"),
                             (["lemmas", "--which", "1"], 10**7, "lemma 1")):
         code, out, err = run(capsys, *argv, "--max", str(cap + 1))
         assert (code, out) == (2, "")
         assert err == f"error: max {cap + 1} is larger than {cap}, the largest {scan} max\n"
+    # lemma 2's cap has 1201 digits, so its line names it as a power
+    assert run(capsys, "lemmas", "--which", "2", "--max", str(10**1200 + 1)) == (
+        2, "", "error: max is larger than 10^1200, the largest lemma 2 max\n")
 
 
 def test_scan_json(capsys):

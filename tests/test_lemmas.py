@@ -283,9 +283,13 @@ def test_same_residue_shared_primes_are_at_most_half_of_a_plus_b_plus_1():
 
 
 def test_scan_caps():
-    assert (lemmas.MAX_CENSUS, lemmas.MAX_LEMMA1) == (8 * 10**6, 10**7)
+    assert (lemmas.MAX_CENSUS, lemmas.MAX_LEMMA1, lemmas.MAX_LEMMA2) == (8 * 10**6, 10**7, 10**1200)
     # _census_chunk holds n^2+n+1 in 64 bits, which n past 2^32 overflows
     assert lemmas.MAX_CENSUS < 2**32
+    # r = p^2+p+1 at the cap has 2401 digits; past p of about 10^2150 it has
+    # more than the 4300 that CPython converts to a string
+    cap = lemmas.MAX_LEMMA2
+    assert len(str(cap * cap + cap + 1)) == 2401
 
 
 def test_scans_past_their_caps_raise_before_sieving(monkeypatch):
@@ -293,10 +297,13 @@ def test_scans_past_their_caps_raise_before_sieving(monkeypatch):
         raise AssertionError("the scan sieved")
 
     monkeypatch.setattr(lemmas, "odd_prime_flags", no_sieve)
+    monkeypatch.setattr(lemmas, "_lemma2_chunk", no_sieve)
     with pytest.raises(ValueError, match="larger than 8000000, the largest census max"):
         bucket_census(lemmas.MAX_CENSUS + 1)
     with pytest.raises(ValueError, match="larger than 10000000, the largest lemma 1 max"):
         lemma1_scan(lemmas.MAX_LEMMA1 + 1)
+    with pytest.raises(ValueError, match=r"^max is larger than 10\^1200, the largest lemma 2 max$"):
+        lemma2_scan(lemmas.MAX_LEMMA2 + 1)
 
 
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnbounds import simplex
+from opnbounds import lp, simplex
+from opnbounds.model import Case, Var, build_system
+from opnbounds.rationals import clear_denominators
 from opnbounds.simplex import EQ, GE, Status, feasible, solve
 
 import simplex_fraction_oracle as oracle
@@ -334,3 +336,74 @@ def test_feasible_rejects_malformed_shapes(rows, relations, rhs, named):
     # each of these once gave a wrong optimum or an unrelated error
     with pytest.raises(ValueError, match=named):
         feasible(rows, relations, rhs)
+
+
+def _assert_tableau_invariant(tb, rows, relations, rhs, unit, cost):
+    """T = D * B^-1 [A | b] with its rhs in the last column: D > 0, each
+    basic column is D in its own row and 0 in every other, the objective
+    row included, which ends in -unit*D times the cost at x; b >= 0, and
+    the x read off the last column meets every input row."""
+    d = tb.d
+    assert d > 0
+    for i, col in enumerate(tb.basis):
+        assert [row[col] for row in tb.rows] == [d if k == i else 0 for k in range(len(tb.rows))]
+    assert all(row[-1] >= 0 for row in tb.rows[:-1])
+    x = [Fraction(0)] * tb.n
+    for row, col in zip(tb.rows, tb.basis):
+        if col < tb.n:
+            x[col] = Fraction(row[-1], d)
+    for row, relation, b in zip(rows, relations, rhs):
+        lhs = sum(Fraction(a) * v for a, v in zip(row, x))
+        assert lhs == b if relation == EQ else lhs >= b
+    assert tb.rows[-1][-1] == -unit * d * sum(c * v for c, v in zip(cost, x))
+
+
+def _check_invariant_through_both_phases(rows, relations, rhs, objectives):
+    """The invariant after feasible() and after every phase-2 pivot of a
+    solve per objective; returns the number of phase-2 pivots checked."""
+    start = feasible(rows, relations, rhs)
+    if start is None:
+        return 0
+    # phase 1 ends at value 0, or priced nothing when no row needed an artificial
+    _assert_tableau_invariant(start, rows, relations, rhs, 1, [0] * start.n)
+    checked = 0
+    pivot = simplex._Tableau.pivot
+
+    for objective in objectives:
+        unit, _ = clear_denominators(objective)
+
+        def checked_pivot(self, r, c):
+            nonlocal checked
+            pivot(self, r, c)
+            _assert_tableau_invariant(self, rows, relations, rhs, unit, objective)
+            checked += 1
+
+        with mock.patch.object(simplex._Tableau, "pivot", checked_pivot):
+            solve(start, objective)
+    return checked
+
+
+def test_tableau_invariant_on_seeded_draws():
+    rng = random.Random(20240607)
+    checked = 0
+    for _ in range(2000):
+        rows, relations, rhs, objective = _rational_problem(rng)
+        checked += _check_invariant_through_both_phases(
+            rows, relations, rhs, [objective, [_rational(rng) for _ in objective]])
+    assert checked > 600
+
+
+@pytest.mark.parametrize("case, f3_min2", [
+    (Case.THREE_COPRIME, False), (Case.THREE_DIVIDES, False), (Case.THREE_DIVIDES, True)])
+def test_tableau_invariant_on_the_model_systems(case, f3_min2):
+    with mock.patch.object(simplex, "feasible", wraps=simplex.feasible) as spy:
+        lp._standard_form(build_system(case, f3_min2))
+    rows, relations, rhs = spy.call_args.args
+    # Omega - slope*omega on both sides of each tip, then -v for each variable
+    objectives = []
+    for slope in (0, 1, 2, Fraction(5, 2), Fraction(21, 8), Fraction(8, 3), 3):
+        cost = [Fraction(0)] * len(Var)
+        cost[Var.Omega], cost[Var.omega] = Fraction(1), -Fraction(slope)
+        objectives.append(cost)
+    objectives += [[-1 if u is v else 0 for u in Var] for v in Var]
+    assert _check_invariant_through_both_phases(rows, relations, rhs, objectives) > 10
