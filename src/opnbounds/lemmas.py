@@ -12,6 +12,15 @@ over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
 lemma 2 follows a Pell recurrence. The direct loops they replace are test
 oracles in tests/nt_bruteforce.py.
 
+The census sieve only counts: for each n of a segment it keeps how many
+distinct primes q up to the segment's top hi divide n^2+n+1, and the
+largest of them; a q below the segment's length updates each root class
+with slices. Since n^2+n+1 < (hi+1)^2, what none of those q divides is 1
+or one prime, so each prime n finishes exactly with at most a few
+divisions; _census_chunk lists the cases. Lemma 1's workers return plain
+(a, b, q, k) tuples, which run_chunks sends by marshal; lemma1_scan builds
+the Lemma1Violation records and loads fractions only when there is one.
+
 The census and lemma 1 each sieve their range [3, max] once, in the calling
 process, through one helper, _root_table: one odd_prime_flags array gives
 the primes q they walk and one pass finds a root of x^2+x+1 modulo each q,
@@ -38,17 +47,18 @@ CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 
 # odd n per sieve segment; bounds the arrays one worker holds
 _SEGMENT = 1 << 18
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table of b + 1, held at 255
 
 # the largest max of each range scan, for the time budget of MAX_BOX: at
-# these the census took 6.1-6.4 s and lemma 1 1.9-2.7 s (2-core host,
-# CPython 3.11.7, jobs 1). MAX_CENSUS also keeps n^2+n+1 within the 64-bit
-# array of _census_chunk, which overflows for n past 2^32.
+# these the census took 4.6-5.3 s and lemma 1 1.9-2.7 s (2-core host,
+# CPython 3.11.7, jobs 1). MAX_CENSUS also keeps every q within the
+# array("L") of _census_chunk, which is 32 bits wide on some platforms.
 MAX_CENSUS = 8 * 10**6
 MAX_LEMMA1 = 10**7
-# lemma 2 runs is_prime on each of its O(log max) p, so its time grows with
-# the digits of max: the whole command took 3.9-4.2 s at this cap and 9.6 s
-# at 10^1500 (same host and Python). Past about 10^2150, r = p^2+p+1 also
-# has more digits than CPython converts to a string.
+# lemma 2 walks O(log max) p and settles each with a gcd (see
+# Lemma2Solution): the whole command took 0.9 s in csv at this cap (same
+# host and Python). Past about 10^2150, r = p^2+p+1 has more digits than
+# CPython converts to a string.
 MAX_LEMMA2 = 10**1200
 
 
@@ -159,40 +169,62 @@ def _census_chunk(segment) -> list:
     """Polynomial sieve of n^2+n+1 over the primes n of one segment: their
     counts per cell in CELLS order.
 
-    3 divides n^2+n+1 exactly when n = 1 (mod 3), 9 never. Any other prime
-    factor q is 1 (mod 3) and divides it exactly when n = w or q-1-w
-    (mod q), so each q up to the top hi walks those two classes. What is
-    left has only prime factors above hi >= n and is below (n+1)^2: 1 or a
-    prime."""
-    lo, size, flags, qs, ws = segment
+    3 divides f = n^2+n+1 exactly when n = 1 (mod 3), 9 never; write t for
+    that 0 or 1. Any other prime factor q is 1 (mod 3) and divides f
+    exactly when n = w or q-1-w (mod q), so each q up to the top hi walks
+    those two classes. The walk only counts: seen[j] is d, the number of
+    distinct such q dividing f, and top[j] the largest. A q below the
+    segment size updates each class with one slice assignment per array; a
+    larger q has at most one index in each class.
+
+    f < (hi+1)^2, so the part of f that no prime up to hi divides is 1 or
+    one prime. So each prime n finishes exactly, with at most a few
+    divisions:
+    - d + t >= 3 puts it in S3plus;
+    - d = 0 leaves f/3^t > 1 free of small factors: Omega = t + 1;
+    - d = 1: divide q = top out of f, e times, leaving r; r/3^t is 1 or
+      one prime, so Omega = t + e + [r > 3^t];
+    - d = 2, so t = 0: r = f/q^e is divisible by the other q', below q. If
+      r <= hi and the flags say r is prime, r = q' and Omega = e + 1. Else
+      r is not prime (a prime r would be q' <= hi), so Omega >= e + 2 >= 3.
+    """
+    lo, size, all_flags, qs, ws = segment
     hi = lo + 2 * size - 2
     start = (lo - 3) >> 1
-    flags = flags[start:start + size]  # flags[j]: lo + 2j is prime
-    counts = bytearray(size)  # prime factors found, with multiplicity
-    rest = array("Q", bytes(8 * size))  # what is left of n^2+n+1
-    live = list(compress(range(size), flags))
-    for j in live:
-        n = lo + 2 * j
-        counts[j] = n % 3 == 1
-        rest[j] = (n * n + n + 1) // (3 if counts[j] else 1)
-    for i, q in enumerate(qs):
+    flags = all_flags[start:start + size]  # flags[j]: lo + 2j is prime
+    seen = bytearray(size)  # distinct q <= hi dividing n^2+n+1
+    top = array("L", [0]) * size  # the largest of them
+    for q, w in zip(qs, ws):
         if q > hi:
             break
-        for root in (ws[i], q - 1 - ws[i]):
+        for root in (w, q - 1 - w):
             first = (root - lo) * (q + 1) // 2 % q  # lo + 2j = root (mod q)
-            if q >= size:  # first is the class's only index below size, if any
-                hits = (first,) if first < size and flags[first] else ()
-            else:
-                hits = compress(range(first, size, q), flags[first::q])
-            for j in hits:
-                c, e = rest[j] // q, 1
-                while c % q == 0:
-                    c, e = c // q, e + 1
-                rest[j] = c
-                counts[j] += e
+            if q < size:  # the class is first, first + q, ... below size
+                seen[first::q] = seen[first::q].translate(_PLUS_ONE)
+                top[first::q] = array("L", [q]) * len(range(first, size, q))
+            elif first < size and flags[first]:  # the class's only index
+                seen[first] += 1
+                top[first] = q
     cells = [0] * len(CELLS)
-    for j in live:
-        cells[2 * min(counts[j] + (rest[j] > 1), 3) + (lo + 2 * j) % 3 - 3] += 1
+    for j in compress(range(size), flags):
+        n = lo + 2 * j
+        t, d = n % 3 == 1, seen[j]
+        if d + t >= 3:
+            omega = 3
+        elif d == 0:
+            omega = t + 1
+        else:
+            q = top[j]
+            rest, e = (n * n + n + 1) // q, 1
+            while rest % q == 0:
+                rest, e = rest // q, e + 1
+            if d == 1:
+                omega = t + e + (rest > 3 ** t)
+            elif rest <= hi and all_flags[(rest - 3) >> 1]:
+                omega = e + 1
+            else:
+                omega = e + 2
+        cells[2 * min(omega, 3) + n % 3 - 3] += 1
     return cells
 
 
@@ -215,11 +247,11 @@ class Lemma1Violation(NamedTuple):
 
 
 def _lemma1_chunk(args) -> list:
-    """Lemma 1 violations, with k_of the bound's k per residue, among the
-    primes 3 < a < b <= max_prime whose shared prime is one of qs, a
-    stride of the primes up to max_prime that are 3 or 1 (mod 3), and ws
-    the matching stride of roots of x^2+x+1 (1 for q = 3); flags are
-    odd_prime_flags of at least max_prime.
+    """Lemma 1 violations (a, b, q, k), with k_of the bound's k per residue
+    and k the one of a's residue, among the primes 3 < a < b <= max_prime
+    whose shared prime is one of qs, a stride of the primes up to max_prime
+    that are 3 or 1 (mod 3), and ws the matching stride of roots of x^2+x+1
+    (1 for q = 3); flags are odd_prime_flags of at least max_prime.
 
     Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
     q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
@@ -236,8 +268,6 @@ def _lemma1_chunk(args) -> list:
     for lemma 1, where each class has at most 3 odd values. Each pair of
     primes among them with equal residues and a+b+1 < k*q is a violation,
     with bound (a+b+1)/k."""
-    from fractions import Fraction
-
     max_prime, k_of, flags, qs, ws = args
     k_top = max(k_of.values())
     out = []
@@ -248,7 +278,7 @@ def _lemma1_chunk(args) -> list:
                        if n > 3 and flags[(n - 3) // 2])
         for i, a in enumerate(found):
             k = k_of[a % 3]
-            out += [Lemma1Violation(a, b, q, Fraction(a + b + 1, k)) for b in found[i + 1:]
+            out += [(a, b, q, k) for b in found[i + 1:]
                     if b % 3 == a % 3 and a + b + 1 < k * q]
     return out
 
@@ -266,8 +296,11 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     parts = effective_jobs(jobs, len(qs))
     chunks = [(max_prime, _LEMMA1_K, flags, qs[k::parts], ws[k::parts])
               for k in range(parts)]
-    violations = [v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part]
-    return sorted(violations, key=lambda v: (v.a, v.b, v.p))
+    found = sorted(v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part)
+    if not found:
+        return []
+    from fractions import Fraction  # only for a violation; no scan has found one
+    return [Lemma1Violation(a, b, q, Fraction(a + b + 1, k)) for a, b, q, k in found]
 
 
 class Lemma2Solution(NamedTuple):
@@ -277,6 +310,13 @@ class Lemma2Solution(NamedTuple):
 
     @property
     def p_is_odd_prime(self) -> bool:
+        """Whether p is an odd prime. With m = (q-1)/3, a proper divisor
+        gcd(p, m) or gcd(p, m+1) shows p composite without is_prime; for
+        every solution of the walk past p = 2 one of them is (see
+        _lemma2_chunk)."""
+        m = (self.q - 1) // 3
+        if 1 < gcd(self.p, m) < self.p or 1 < gcd(self.p, m + 1) < self.p:
+            return False
         return self.p > 2 and is_prime(self.p)
 
 
@@ -292,8 +332,8 @@ def _lemma2_chunk(max_p: int) -> list:
     and q follow x' = 4x - x_prev + 1 from p = 0, 2 and q = 1, 4 (k = 0, 1).
 
     No solution has p an odd prime, at any size, so the verdict does not
-    rest on is_prime past PSI_13. Z is odd; with m = (Z-1)/2 the two
-    equations give p^2+p+1 = (3Z^2+1)/4 = 3m^2+3m+1, that is
+    rest on is_prime past PSI_13. Z is odd; with m = (Z-1)/2 = (q-1)/3 the
+    two equations give p^2+p+1 = (3Z^2+1)/4 = 3m^2+3m+1, that is
     p(p+1) = 3m(m+1), and m >= 1 for p > 0. A prime p divides 3, m or m+1.
     p = 3 would need m(m+1) = 4. Otherwise p <= m+1, so
     3m(m+1) = p(p+1) <= (m+1)(m+2), which gives m <= 1 and p = 2. Every

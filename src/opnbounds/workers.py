@@ -4,17 +4,20 @@ A scan splits its input into chunks, maps a pure function over them and
 merges in chunk order, so the worker count never changes any result. With
 jobs > 1 workers, at most one per usable core, the calling process forks
 jobs - 1 children. Child k inherits the function and the chunks, so nothing
-is pickled on the way in; it maps chunks[k::jobs], pickles its result list,
-or the exception it raised, into its own pipe and ends with os._exit, so it
+is serialized on the way in; it maps chunks[k::jobs] and writes its result
+list into its own pipe with marshal and exits 0, or writes the exception it
+raised with pickle and exits 1. Either way it ends with os._exit, so it
 runs no exit handler and flushes no copy of the parent's stdio buffers. The
 parent maps share 0, chunks[0::jobs], itself, reads every pipe to the end,
 reaps every child, and kills and reaps the children when it stops early, so
 no worker outlives the call. Where os.fork does not exist the chunks run
-serially. pickle is imported only on the fork path, so a process that never
-fans out does not pay for it.
+serially. Results must be marshal-able: ints, strings, None and tuples or
+lists of them, not named tuples. pickle is imported only for an exception,
+so a scan that fans out without one never loads it.
 """
 from __future__ import annotations
 
+import marshal
 import os
 
 
@@ -40,9 +43,11 @@ def run_chunks(fn, chunks: list, jobs: int | None) -> list:
     """[fn(chunk) for chunk in chunks], with the chunks spread over forked
     workers.
 
-    fn must be pure and its results picklable. A worker's exception is
-    raised here with its type and message; a worker that dies before it
-    sends its result raises RuntimeError naming its exit status.
+    fn must be pure and its results marshal-able, as a worker sends them
+    with marshal; a result marshal refuses raises its ValueError here. A
+    worker's exception, sent with pickle, is raised here with its type and
+    message; a worker that dies before it sends its result raises
+    RuntimeError naming its exit status.
     """
     jobs = effective_jobs(jobs, len(chunks))
     if jobs == 1 or not hasattr(os, "fork"):
@@ -77,16 +82,16 @@ def run_chunks(fn, chunks: list, jobs: int | None) -> list:
 
 def _fork(fn, chunks: list, write: int) -> int:
     """Fork a worker and return its pid. The worker maps fn over chunks,
-    writes the pickled list, or the exception it raised, to the pipe end
-    write, and ends the process without returning."""
-    import pickle
+    writes the marshalled list with exit status 0, or the pickled exception
+    it raised with exit status 1, to the pipe end write, and ends the
+    process without returning."""
     pid = os.fork()
     if pid:
         return pid
     code = 1
     try:
         try:
-            payload, code = pickle.dumps([fn(chunk) for chunk in chunks]), 0
+            payload, code = marshal.dumps([fn(chunk) for chunk in chunks]), 0
         except BaseException as exc:  # the parent raises it again
             payload = _pickled_error(exc)
         with open(write, "wb") as pipe:
@@ -109,13 +114,17 @@ def _pickled_error(exc: BaseException) -> bytes:
 
 def _result(data: bytes, status: int) -> list:
     """A reaped worker's result list from the bytes it wrote and its wait
-    status; its exception is raised."""
-    import pickle
+    status: marshalled at exit status 0, else its pickled exception, which
+    is raised."""
+    code = os.waitstatus_to_exitcode(status)
     try:
-        value = pickle.loads(data)
+        if code == 0:
+            return marshal.loads(data)
+        import pickle
+        error = pickle.loads(data)
     except Exception:  # no payload, or one cut short
-        raise RuntimeError(f"a worker ended without sending its result (exit "
-                           f"status {os.waitstatus_to_exitcode(status)})") from None
-    if isinstance(value, BaseException):
-        raise value
-    return value
+        error = None
+    if isinstance(error, BaseException):
+        raise error
+    raise RuntimeError(f"a worker ended without sending its result (exit "
+                       f"status {code})")

@@ -7,8 +7,9 @@ label, the commit of SRC's checkout (`git describe --always --dirty`, null
 outside git), the usable cores and the Python version, and two parts:
 
 - processes: per command of time_processes.commands(), the median wall
-  seconds of REPS `python -m opnbounds` processes under SRC, run through
-  time_processes.wall after one unrecorded warm-up run;
+  seconds and the median child CPU seconds of REPS `python -m opnbounds`
+  processes under SRC, run through time_processes.timed after one
+  unrecorded warm-up run;
 - functions: one in-process pass at jobs 1, traced by perfbench/tracing.py's
   Tracer, which records calls, seconds and self seconds for every function
   in its TARGETS. The pass runs frontier on both systems over the 2137
@@ -31,7 +32,7 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-from time_processes import commands, wall
+from time_processes import commands, timed
 
 ROOT = Path(__file__).resolve().parent.parent
 SLOPES = sorted({Fraction(k, d) for d in range(1, 49) for k in range(3 * d + 1)})
@@ -44,15 +45,18 @@ def commit(src: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def process_medians(src: Path, reps: int) -> dict:
-    """Median wall seconds per command of time_processes under src."""
-    out = {}
+def process_medians(src: Path, reps: int) -> tuple:
+    """({command: median wall seconds}, {command: median CPU seconds}) of
+    time_processes' commands under src."""
+    walls, cpus = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch)
         for label, argv in commands(work):
-            wall(src, argv, work)
-            out[label] = median(wall(src, argv, work) for _ in range(reps))
-    return out
+            timed(src, argv, work)
+            runs = [timed(src, argv, work) for _ in range(reps)]
+            walls[label] = median(wall for wall, _ in runs)
+            cpus[label] = median(cpu for _, cpu in runs)
+    return walls, cpus
 
 
 def traced_pass(src: Path) -> tuple:
@@ -111,11 +115,12 @@ def main() -> None:
         sys.exit(f"error: no opnbounds package under {src}")
     if args.reps < 1:
         sys.exit("error: --reps must be at least 1")
-    processes = process_medians(src, args.reps)
+    walls, cpus = process_medians(src, args.reps)
     cores, functions = traced_pass(src)
     entry = {"label": args.label, "commit": commit(src), "usable_cores": cores,
              "python": platform.python_version(), "reps": args.reps,
-             "processes_median_s": processes, "functions": functions}
+             "processes_median_s": walls, "processes_median_cpu_s": cpus,
+             "functions": functions}
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
     args.out.write_text(json.dumps([*entries, entry], indent=2) + "\n")
 

@@ -179,6 +179,18 @@ def test_lemma2_scan_worker_independent(monkeypatch):
     assert lemma2_scan(0) == []
 
 
+def test_lemma2_verdicts_run_no_primality_test(monkeypatch):
+    # gcd(p, m) or gcd(p, m+1), m = (q-1)/3, is a proper divisor of every p
+    # past 2 that the walk finds, so no verdict waits on is_prime
+    def no_test(n):
+        raise AssertionError(f"is_prime ran on {n}")
+
+    solutions = lemma2_scan(lemmas.MAX_LEMMA2)
+    monkeypatch.setattr(lemmas, "is_prime", no_test)
+    assert len(solutions) == 2098
+    assert not any(s.p_is_odd_prime for s in solutions)
+
+
 def test_lemma2_violation_filter():
     fake = Lemma2Solution(13, 1, 183)
     assert is_prime(13)
@@ -233,6 +245,20 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
     want = brute_census(20000)
     for jobs in (1, 2, 3):
         assert bucket_census(20000, jobs=jobs) == want, jobs
+
+
+def test_census_memory_stays_small():
+    # 3.76 MiB on CPython 3.11.7, 64-bit Linux, 2 MiB of it one segment's
+    # top array("L") of 250000 entries; a sieve that kept each n's cofactor
+    # in an array("Q") read 5.51 MiB, and this one with the root table's qs
+    # and ws in lists of ints 6.19 MiB
+    tracemalloc.start()
+    try:
+        bucket_census(10**6, jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
 
 
 def test_each_scan_sieves_its_range_once(monkeypatch):
@@ -336,7 +362,7 @@ def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
             if a + b + 1 < k_of[a % 3] * 13}
     found = lemmas._lemma1_chunk((500, k_of, odd_prime_flags(500), [13],
                                   [lemmas._root(13)]))
-    assert {(v.a, v.b, v.p, v.bound) for v in found} == want
+    assert {(a, b, q, Fraction(a + b + 1, k)) for a, b, q, k in found} == want
     assert len(found) == len(want) == 10
     assert len(pairs) - len(want) == 28  # same-residue pairs past the limit
     at_limit = {(a, b) for a, b in pairs if a + b + 1 == k_of[a % 3] * 13}

@@ -1,6 +1,7 @@
-"""The result records are immutable named tuples: pool workers pickle them
-back to the parent, and a variant is derived with _replace, never by
-assigning to a field."""
+"""The result records are immutable named tuples: each survives a pickle
+round trip, and a variant is derived with _replace, never by assigning to
+a field. Pool workers send no records: they send plain tuples by marshal,
+and the caller builds the records."""
 import pickle
 from fractions import Fraction
 

@@ -87,6 +87,16 @@ def test_subcommand_imports_only_what_it_runs(argv):
     assert _loaded(*argv) & _LEFT_OUT[argv[0]] == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--max", "20000", "--jobs", "2"),
+    ("lemmas", "--which", "1", "--max", "2000", "--jobs", "2"),
+], ids=lambda argv: argv[0])
+def test_fanned_out_scans_load_neither_pickle_nor_fractions(argv):
+    # the worker's result comes back by marshal, and lemma 1 builds its
+    # Fraction bounds only for a violation
+    assert _loaded(*argv) & {"pickle", "fractions"} == set()
+
+
 def test_package_import_loads_no_submodule():
     proc = _python("-c", "import opnbounds, sys; "
                          "print(sorted(m for m in sys.modules if m.startswith('opnbounds')))")
@@ -114,7 +124,19 @@ def test_every_exported_name_is_its_modules_object():
 def test_run_chunks_pool_returns_the_serial_list(monkeypatch):
     monkeypatch.setattr(workers, "usable_cores", lambda: 2)  # a fork even on one core
     primes = [5, 7, 11, 13, 17, 19, 23]
-    assert run_chunks(classify_prime, primes, 2) == run_chunks(classify_prime, primes, 1)
+
+    def classified(p):  # a plain tuple, which marshal sends
+        return tuple(classify_prime(p))
+
+    assert run_chunks(classified, primes, 2) == run_chunks(classified, primes, 1)
+    _no_child_left()
+
+
+def test_a_result_marshal_refuses_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+    # a PrimeClass is a named tuple, which marshal does not write
+    with pytest.raises(ValueError, match="^unmarshallable object$"):
+        run_chunks(classify_prime, [5, 7], 2)
     _no_child_left()
 
 

@@ -12,8 +12,9 @@ command once per tree, in a fresh process with PYTHONPATH set to that tree
 and no other PYTHON* variable, and the tree that goes first alternates.
 One unrecorded warm-up run per command and tree writes the bytecode caches
 first. Prints per command the median wall time under each tree, the
-difference and in how many reps NEW_SRC was faster. A command that exits
-non-zero stops the run.
+difference and in how many reps NEW_SRC was faster, then the same for the
+child's CPU time: user plus system from os.wait4, which counts the worker
+processes it reaped. A command that exits non-zero stops the run.
 """
 import argparse
 import os
@@ -55,18 +56,24 @@ def commands(work: Path) -> list:
     ]
 
 
-def wall(src: Path, argv: list, work: Path) -> float:
-    """Seconds one `python -m opnbounds argv` process takes under src."""
+def timed(src: Path, argv: list, work: Path) -> tuple:
+    """(wall seconds, CPU seconds) of one `python -m opnbounds argv` process
+    under src; the CPU is the child's user plus system time, with the
+    workers it reaped."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     start = perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "opnbounds", *argv], env=env, cwd=work,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "opnbounds", *argv], env=env, cwd=work,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(argv)} under {src} exited {proc.returncode}: "
-                 f"{proc.stderr.decode(errors='replace').strip()}")
-    return seconds
+                 f"{err.decode(errors='replace').strip()}")
+    return seconds, usage.ru_utime + usage.ru_stime
 
 
 def main() -> None:
@@ -81,18 +88,23 @@ def main() -> None:
             sys.exit(f"error: no opnbounds package under {src}")
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch)
-        print(f"{'command':<24}{'old ms':>9}{'new ms':>9}{'diff ms':>9}{'new wins':>10}")
+        print(f"{'command':<24}{'old ms':>9}{'new ms':>9}{'diff ms':>9}{'new wins':>10}"
+              f"{'old cpu':>9}{'new cpu':>9}{'diff':>9}{'new wins':>10}")
         for label, argv in commands(work):
             for src in trees:
-                wall(src, argv, work)
-            times = ([], [])
+                timed(src, argv, work)
+            runs = ([], [])  # (wall, cpu) per rep and tree
             for rep in range(args.reps):
                 for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                    times[side].append(wall(trees[side], argv, work))
-            old, new = (median(t) * 1000 for t in times)
-            wins = sum(n < o for o, n in zip(*times))
-            print(f"{label:<24}{old:9.1f}{new:9.1f}{new - old:+9.1f}"
-                  f"{f'{wins}/{args.reps}':>10}", flush=True)
+                    runs[side].append(timed(trees[side], argv, work))
+            line = f"{label:<24}"
+            for k in (0, 1):  # wall, then CPU
+                old, new = ([run[k] for run in side] for side in runs)
+                wins = sum(n < o for o, n in zip(old, new))
+                old_ms, new_ms = median(old) * 1000, median(new) * 1000
+                line += (f"{old_ms:9.1f}{new_ms:9.1f}{new_ms - old_ms:+9.1f}"
+                         f"{f'{wins}/{args.reps}':>10}")
+            print(line, flush=True)
 
 
 if __name__ == "__main__":
