@@ -7,18 +7,22 @@ lemma violations), 2 usage, parse or output errors. A write to stdout
 that fails, as on a full disk or a closed pipe, exits 2 with one line
 "error: cannot write output: ..." on stderr.
 
-A handler imports the modules it runs when it runs, and build_parser
-gives arguments only to the subcommand named first, so a process loads
-only what its subcommand uses. A process runs the CLI through run, which
+A plain command line, a subcommand with "--flag value" pairs and classify's
+p (see _plain_args), is read without argparse. Every other line, such as
+help, a usage error, "--flag=value", a negative slope or an abbreviated
+flag, goes to the argparse parser that build_parser makes with every
+subcommand, which prints the help and errors. argparse loads only then, and
+a handler imports the modules it runs when it runs, so a process loads only
+what its subcommand uses. A process runs the CLI through run, which
 freezes the heap (gc.freeze) when main returns, so the collections of
 interpreter teardown skip every object left; main itself never freezes.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 
 def _int(text: str, message: str) -> int:
@@ -28,6 +32,7 @@ def _int(text: str, message: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
+        import argparse
         reason = message if str(exc).startswith("invalid literal") else str(exc)
         raise argparse.ArgumentTypeError(reason) from None
 
@@ -39,6 +44,7 @@ def _integer(text: str) -> int:
 def _positive_int(text: str) -> int:
     value = _int(text, f"not an integer: {text!r}")
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be positive: {value}")
     return value
 
@@ -48,6 +54,7 @@ def _rational(text: str):
     try:
         return parse_rational(text)
     except ValueError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -69,18 +76,6 @@ def _error(message, code: int = 2) -> int:
 
 class _OutputError(Exception):
     """The OSError of a failed write to stdout; str() gives its message."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help and usage on stdout are written by _emit,
-    so a failed write raises _OutputError; argparse's own write swallows
-    the OSError. Subparsers take this class too."""
-
-    def _print_message(self, message, file=None):
-        # sys.stdout is None when fd 1 was closed at start-up
-        if file is None or file is not sys.stdout:
-            return super()._print_message(message, file)
-        _emit("text", message.splitlines())
 
 
 def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
@@ -328,12 +323,13 @@ _COMMANDS = (
 )
 
 
-def _parses(parse, text: str) -> bool:
+def _parsed(parse, text: str):
+    """parse(text), or None where parse raises; argparse, which then parses
+    the line, calls parse again and reports or raises as it does."""
     try:
-        parse(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        return False
-    return True
+        return parse(text)
+    except Exception:
+        return None
 
 
 # flags whose value may start with "-", with the parse the value must pass
@@ -353,19 +349,62 @@ def _join_signed_values(argv: list) -> list:
     out, i = [], 0
     while i < len(argv) and argv[i] != "--":
         token, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        if token in taken and value.startswith("-") and _parses(_SIGNED[token], value):
+        if token in taken and value.startswith("-") and _parsed(_SIGNED[token], value) is not None:
             token, i = f"{token}={value}", i + 1
         out.append(token)
         i += 1
     return out + argv[i:]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, where only the subcommand named command has its
-    arguments, or every one when command names none. A parse that starts
-    with command reads no other subcommand's arguments, so its help, errors
-    and result are those of the parser with every subcommand built."""
-    named = any(name == command for name, _, _, _ in _COMMANDS)
+def _plain_args(argv: list):
+    """The namespace argparse gives a plain argv, or None for any other.
+
+    A plain argv names a subcommand first. Each later token is an exact flag
+    of it followed by its value, or the subcommand's positional; no value
+    starts with "-", none is given twice and every required one is there.
+    Each value passes its type and choices, and an absent option takes its
+    default as it is, as argparse does with these specs."""
+    for name, handler, _, arguments in _COMMANDS:
+        if argv[:1] == [name]:
+            break
+    else:
+        return None
+    specs, given, tokens = dict(arguments), {}, iter(argv[1:])
+    positional = next((flag for flag in specs if not flag.startswith("-")), None)
+    for token in tokens:
+        # a flag at the end gets the value "-", which is not plain
+        flag, text = (token, next(tokens, "-")) if token.startswith("-") else (positional, token)
+        if flag not in specs or flag in given or text.startswith("-"):
+            return None
+        value = _parsed(specs[flag].get("type", str), text)
+        if value is None or value not in specs[flag].get("choices", [value]):
+            return None
+        given[flag] = value
+    if any(flag not in given and options.get("required", not flag.startswith("-"))
+           for flag, options in arguments):
+        return None
+    return SimpleNamespace(command=name, func=handler, **{
+        flag.lstrip("-").replace("-", "_"): given.get(flag, options.get("default"))
+        for flag, options in arguments})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser with every subcommand, for the command lines that
+    _plain_args does not read: help, usage errors and the spellings only
+    argparse reads, such as --flag=value."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose help and usage on stdout are written by
+        _emit, so a failed write raises _OutputError; argparse's own write
+        swallows the OSError. Subparsers take this class too."""
+
+        def _print_message(self, message, file=None):
+            # sys.stdout is None when fd 1 was closed at start-up
+            if file is None or file is not sys.stdout:
+                return super()._print_message(message, file)
+            _emit("text", message.splitlines())
+
     parser = _Parser(
         prog="opnbounds",
         description="Exact-arithmetic bounds on the prime factorization "
@@ -373,9 +412,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, arguments in _COMMANDS:
         sub = commands.add_parser(name, help=help_text)
-        if name == command or not named:
-            for flag, options in arguments:
-                sub.add_argument(flag, **options)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
         sub.set_defaults(func=handler)
     return parser
 
@@ -383,7 +421,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(_join_signed_values(argv))
+        args = _plain_args(argv) or build_parser().parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -255,13 +255,20 @@ def _lemma1_chunk(args) -> list:
 
     Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
     q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
-    q | b^2+b+1 exactly when b = a or b = -1-a (mod q). A shared q is below
-    max_prime: if q | b-a, then q <= b-a < max_prime. Otherwise
-    a+b+1 = m*q, and m = 1 is impossible: q = 3 is below a+b+1, and a prime
-    q > 3 dividing n^2+n+1 is 1 (mod 3), while a = b (mod 3) makes a+b+1
-    = 2a+1 (mod 3), so q = a+b+1 would force 3 | a. So m >= 2 and
-    q <= (a+b+1)/2 < max_prime: qs over all strides hold every shared
-    prime. q | n^2+n+1 exactly when n = w or q-1-w (mod q), the same class
+    q | b^2+b+1 exactly when b = a or b = -1-a (mod q).
+
+    Lemma 1 holds for every pair: with a = b = r (mod 3), a shared q is at
+    most (a+b+1)/k, where k = 3 for r = 1 and 5 for r = 2. q = 3 divides
+    n^2+n+1 only for n = 1 (mod 3), so r = 1 and a+b+1 >= 7+13+1 > 9. A
+    larger q is 1 (mod 3) and prime to 6. If q | b-a, then 6q | b-a, as
+    b-a is even and a multiple of 3, so q < (a+b+1)/6. Otherwise
+    a+b+1 = m*q, where m is odd, as a+b+1 is, and m = 2r+1 (mod 3): for
+    r = 1, 3 | m, so m >= 3; for r = 2, m = 2 (mod 3) and odd, so m >= 5.
+    Both k are sharp: a+b+1 = 3q at (37, 163, 67) and 5q at (5, 149, 31).
+    The scan checks this proof; it needs only that every shared q is at
+    most (a+b+1)/3 < max_prime, so qs over all strides hold it.
+
+    q | n^2+n+1 exactly when n = w or q-1-w (mod q), the same class
     when q = 3. If a is one root, -1-a is the other, so a and b lie in the
     same two classes. A violation needs a+b+1 < k*q, so a < k*q/2 and
     b <= min(max_prime, k*q - a - 2): both are below max(k)*q, which is 5q

@@ -6,12 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnbounds import cli, enumeration, lemmas, lp
 from opnbounds.certificates import certificate_from_dict, load_certificate, verify_certificate
 from opnbounds.cli import build_parser, main
 from opnbounds.lemmas import Lemma1Violation, Lemma2Solution
 from opnbounds.model import Case, build_system
+from time_processes import commands
 
 FIXTURES = Path(__file__).resolve().parent.parent / "certificates"
 CERT_A = str(FIXTURES / "paper_no3.json")
@@ -602,9 +605,69 @@ USAGE_CORPUS = [
 
 @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=" ".join)
 def test_usage_output_matches_the_full_parser(capsys, argv):
-    """main builds arguments for the named subcommand only; its help and
-    errors must not show it."""
+    """A line that is not plain goes to the parser of every subcommand,
+    which prints its help and errors, whatever subcommand it names."""
     assert run(capsys, *argv) == _full_parser_run(capsys, argv)
+
+
+def _full_parser_vars(argv):
+    """vars() of the full parser's namespace for argv, or None where it exits."""
+    try:
+        return vars(build_parser().parse_args(cli._join_signed_values(argv)))
+    except SystemExit:
+        return None
+
+
+_FLAGS = sorted({flag for *_, arguments in cli._COMMANDS for flag, _ in arguments
+                 if flag.startswith("-")})
+_CHOICES = sorted({choice for *_, arguments in cli._COMMANDS
+                   for _, options in arguments for choice in options.get("choices", ())})
+# tokens from anywhere: names, flags and their prefixes, help, "--", flag=value
+_NOISE = sorted({*(name for name, *_ in cli._COMMANDS), *_FLAGS, "-h", "--help", "--",
+                 *(flag[:end] for flag in _FLAGS for end in range(2, len(flag))),
+                 "--format=json", "--max=7", "--slope=8/3", "--system=three_coprime"})
+_VALUES = ["0", "1", "-1", "1" * 4400, "8/3", "-5/6", "1/0", "2,8/3", "", "x", "-x",
+           "certificates/paper_no3.json", "out dir", *_CHOICES]
+# per type, values it accepts
+_FITTING = {"_positive_int": ["1", "7", "40"], "_rational": ["8/3", "21/8", "2"],
+            "_integer": ["7", "11", "999999937"], None: ["a.json", "2,8/3", ""]}
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand with its required arguments (or, one time in four,
+    without), then more of its arguments, a flag perhaps twice, in any
+    order. Each value fits its argument or, one time in four, is any value
+    or token; one line in four gets a token from anywhere at any place."""
+    name, _, _, arguments = draw(st.sampled_from(cli._COMMANDS))
+    required = [arg for arg in arguments if arg[1].get("required", not arg[0].startswith("-"))]
+    picked = draw(st.permutations([*(required if draw(st.integers(0, 3)) else ()),
+                                   *draw(st.lists(st.sampled_from(arguments), max_size=3))]))
+    argv = [name]
+    for flag, options in picked:
+        fits = options.get("choices") or _FITTING[getattr(options.get("type"), "__name__", None)]
+        value = draw(st.sampled_from(fits if draw(st.integers(0, 3)) else _VALUES + _NOISE))
+        argv += [flag, value] if flag.startswith("-") else [value]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_NOISE + _VALUES)))
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(argv=_command_lines())
+def test_a_plain_parse_equals_the_full_parsers(argv):
+    """Where _plain_args reads a line, argparse reads the same namespace
+    from it; every other line goes to argparse itself."""
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == _full_parser_vars(argv)
+
+
+def test_every_timed_command_line_is_plain(tmp_path):
+    for label, argv in commands(tmp_path):
+        args = cli._plain_args(argv)
+        assert args is not None, label
+        assert vars(args) == _full_parser_vars(argv), label
 
 
 def test_help_exits_0(capsys):

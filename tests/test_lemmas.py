@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -308,9 +309,38 @@ def test_same_residue_shared_primes_are_at_most_half_of_a_plus_b_plus_1():
     assert all(2 * q <= a + b + 1 for a, b, q in same)
 
 
+def _lemma1_case(a, b, q):
+    """The case of the proof in _lemma1_chunk's docstring that bounds the
+    prime q shared by a^2+a+1 and b^2+b+1, a < b, a = b (mod 3), each
+    case's own claims checked as stated."""
+    r, k = a % 3, lemmas._LEMMA1_K[a % 3]
+    if q == 3:
+        assert r == 1 and a + b + 1 > 9
+        return "q = 3"
+    assert q % 6 == 1
+    if (b - a) % q == 0:
+        assert (b - a) % (6 * q) == 0 and a + b + 1 > 6 * q
+        return "q | b - a"
+    m, rest = divmod(a + b + 1, q)
+    assert (rest, m % 2, m % 3) == (0, 1, (2 * r + 1) % 3) and m >= k
+    return "q | a + b + 1"
+
+
+def test_lemma1_bound_holds_by_its_case_split():
+    same = sorted((a, b, q) for a, b, q in brute_shared_triples(1500) if a % 3 == b % 3)
+    cases = Counter(_lemma1_case(a, b, q) for a, b, q in same)
+    assert cases == {"q = 3": 6555, "q | b - a": 1024, "q | a + b + 1": 1123}
+    # both k are sharp: the least triple of each residue that meets its bound
+    met = [(a, b, q) for a, b, q in same if a + b + 1 == lemmas._LEMMA1_K[a % 3] * q]
+    assert len(met) == 16
+    assert [min(t for t in met if t[0] % 3 == r) for r in (1, 2)] == [(37, 163, 67),
+                                                                     (5, 149, 31)]
+
+
 def test_scan_caps():
     assert (lemmas.MAX_CENSUS, lemmas.MAX_LEMMA1, lemmas.MAX_LEMMA2) == (8 * 10**6, 10**7, 10**1200)
-    # _census_chunk holds n^2+n+1 in 64 bits, which n past 2^32 overflows
+    # _census_chunk keeps each n's largest q in an array("L"), which is 32
+    # bits wide on some platforms
     assert lemmas.MAX_CENSUS < 2**32
     # r = p^2+p+1 at the cap has 2401 digits; past p of about 10^2150 it has
     # more than the 4300 that CPython converts to a string

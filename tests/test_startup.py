@@ -1,8 +1,10 @@
 """A CLI process imports only the package modules its subcommand runs, and
-no pool, pickle, json, csv or dataclasses module: a scan forks its workers only when it fans out to more than one, with at most
-one per usable core, and the output modules load only for the format that
-needs them. Every child a fan-out forks is reaped before run_chunks returns
-or raises."""
+no pool, pickle, json, csv or dataclasses module: a scan forks its workers
+only when it fans out to more than one, with at most one per usable core,
+and the output modules load only for the format that needs them. A plain
+command line is read without argparse, so neither it nor gettext and locale
+load; help and usage errors load them. Every child a fan-out forks is
+reaped before run_chunks returns or raises."""
 import ast
 import importlib
 import os
@@ -23,7 +25,9 @@ from opnbounds.model import Case, build_system
 from opnbounds.workers import effective_jobs, run_chunks
 
 SRC = Path(opnbounds.__file__).resolve().parents[1]
-_LAZY = ("multiprocessing", "pickle", "json", "csv", "dataclasses")
+# the parser's modules, which only a line that is not plain loads
+_PARSER = {"argparse", "gettext", "locale"}
+_LAZY = ("multiprocessing", "pickle", "json", "csv", "dataclasses", *sorted(_PARSER))
 _PROBE = f"import opnbounds.cli, sys; print(sorted(set({_LAZY!r}) & set(sys.modules)))"
 
 
@@ -84,7 +88,23 @@ def _loaded(*argv) -> set:
     ("describe", "--system", "three_coprime"),
 ], ids=lambda argv: argv[0])
 def test_subcommand_imports_only_what_it_runs(argv):
-    assert _loaded(*argv) & _LEFT_OUT[argv[0]] == set()
+    assert _loaded(*argv) & (_LEFT_OUT[argv[0]] | _PARSER) == set()
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (("--help",), 0, "stdout", "usage: opnbounds [-h]"),
+    (("census", "--max", "0"), 2, "stderr", "error: argument --max: must be positive: 0\n"),
+    (("census", "--max", "7", "--max", "8"), 0, "stdout", "S1 residue 1: 0\n"),
+], ids=["help", "usage error", "repeated flag"])
+def test_a_line_that_is_not_plain_loads_the_parser(argv, code, stream, text):
+    """Help, a value its type refuses and a flag given twice go to argparse,
+    which prints the help or error, or reads the last value."""
+    proc = _python("-c", _FOOTPRINT, *argv)
+    *printed, modules = proc.stderr.splitlines(keepends=True)
+    out = proc.stdout if stream == "stdout" else "".join(printed)
+    assert proc.returncode == code
+    assert text in out
+    assert _PARSER <= set(ast.literal_eval(modules))
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,9 +112,9 @@ def test_subcommand_imports_only_what_it_runs(argv):
     ("lemmas", "--which", "1", "--max", "2000", "--jobs", "2"),
 ], ids=lambda argv: argv[0])
 def test_fanned_out_scans_load_neither_pickle_nor_fractions(argv):
-    # the worker's result comes back by marshal, and lemma 1 builds its
-    # Fraction bounds only for a violation
-    assert _loaded(*argv) & {"pickle", "fractions"} == set()
+    # the worker's result comes back by marshal, lemma 1 builds its
+    # Fraction bounds only for a violation, and the line is plain
+    assert _loaded(*argv) & {"pickle", "fractions", *_PARSER} == set()
 
 
 def test_package_import_loads_no_submodule():

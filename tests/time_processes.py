@@ -7,9 +7,12 @@ package. Every README subcommand runs at the sizes of perfbench's workloads:
 describe; optimize, verify and scan at the steepest slopes 8/3 and 21/8
 (scan at the boxes 40 and 9, --jobs 1); frontier over 58 slopes k/19 in
 [0, 3] on both systems; census --max 400000, lemmas 1 at 15000 and 2 at
-4*10^6, each --jobs 2; classify of a prime below 10^9. Each rep runs a
-command once per tree, in a fresh process with PYTHONPATH set to that tree
-and no other PYTHON* variable, and the tree that goes first alternates.
+4*10^6, each --jobs 2; classify of a prime below 10^9. A first row, floor,
+times `python -c "import gc; gc.freeze()"`, the interpreter alone: a CLI
+process freezes its heap at exit too, so `-c pass` would sit above it.
+Each rep runs a command once per tree, in a fresh process with PYTHONPATH
+set to that tree and no other PYTHON* variable, and the tree that goes
+first alternates.
 One unrecorded warm-up run per command and tree writes the bytecode caches
 first. Prints per command the median wall time under each tree, the
 difference and in how many reps NEW_SRC was faster, then the same for the
@@ -27,6 +30,8 @@ from statistics import median
 from time import perf_counter
 
 CERTIFICATES = Path(__file__).resolve().parent.parent / "certificates"
+MODULE = ("-m", "opnbounds")
+FLOOR = ["-c", "import gc; gc.freeze()"]
 FRONTIER_SLOPES = ",".join(str(Fraction(k, 19)) for k in range(58))
 
 
@@ -56,14 +61,14 @@ def commands(work: Path) -> list:
     ]
 
 
-def timed(src: Path, argv: list, work: Path) -> tuple:
+def timed(src: Path, argv: list, work: Path, launch=MODULE) -> tuple:
     """(wall seconds, CPU seconds) of one `python -m opnbounds argv` process
-    under src; the CPU is the child's user plus system time, with the
-    workers it reaped."""
+    under src, or of `python argv` for launch=(); the CPU is the child's
+    user plus system time, with the workers it reaped."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     start = perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "opnbounds", *argv], env=env, cwd=work,
+    proc = subprocess.Popen([sys.executable, *launch, *argv], env=env, cwd=work,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     with proc.stderr:
         err = proc.stderr.read()
@@ -90,13 +95,14 @@ def main() -> None:
         work = Path(scratch)
         print(f"{'command':<24}{'old ms':>9}{'new ms':>9}{'diff ms':>9}{'new wins':>10}"
               f"{'old cpu':>9}{'new cpu':>9}{'diff':>9}{'new wins':>10}")
-        for label, argv in commands(work):
+        rows = [("floor", FLOOR, ()), *((label, argv, MODULE) for label, argv in commands(work))]
+        for label, argv, launch in rows:
             for src in trees:
-                timed(src, argv, work)
+                timed(src, argv, work, launch)
             runs = ([], [])  # (wall, cpu) per rep and tree
             for rep in range(args.reps):
                 for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                    runs[side].append(timed(trees[side], argv, work))
+                    runs[side].append(timed(trees[side], argv, work, launch))
             line = f"{label:<24}"
             for k in (0, 1):  # wall, then CPU
                 old, new = ([run[k] for run in side] for side in runs)
