@@ -94,7 +94,8 @@ def test_subcommand_imports_only_what_it_runs(argv):
 @pytest.mark.parametrize("argv, code, stream, text", [
     (("--help",), 0, "stdout", "usage: opnbounds [-h]"),
     (("census", "--max", "0"), 2, "stderr", "error: argument --max: must be positive: 0\n"),
-    (("census", "--max", "7", "--max", "8"), 0, "stdout", "S1 residue 1: 0\n"),
+    # at --max 5 the one S2 count, of 7, would be 0
+    (("census", "--max", "5", "--max", "7"), 0, "stdout", "S2 residue 1: 1\n"),
 ], ids=["help", "usage error", "repeated flag"])
 def test_a_line_that_is_not_plain_loads_the_parser(argv, code, stream, text):
     """Help, a value its type refuses and a flag given twice go to argparse,
