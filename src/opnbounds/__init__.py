@@ -25,8 +25,8 @@ _API = {
                "bucket_census", "classify_prime", "lemma1_scan", "lemma2_scan",
                "lemma2_violations", "shared_primes"),
     "linexpr": ("LinExpr", "combine"),
-    "lp": ("FrontierRow", "LPSolution", "SlopeBound", "UnboundedSlopeError",
-           "best_constant", "frontier", "minimize"),
+    "lp": ("LPSolution", "SlopeBound", "UnboundedSlopeError", "best_constant",
+           "frontier", "minimize"),
     "model": ("Case", "Constraint", "ConstraintSystem", "Relation", "Var",
               "build_system", "describe_system", "render_bound", "render_linexpr",
               "var_display"),

@@ -29,7 +29,8 @@ forked workers inherit. Lemma 1 needs no q past max, because a shared prime
 of a same-residue pair is below it (see _lemma1_chunk). Their largest
 ranges are MAX_CENSUS and MAX_LEMMA1; a larger one raises ValueError before
 any sieving. Lemma 2's largest p is MAX_LEMMA2; a larger one raises
-ValueError before the walk.
+ValueError before the walk. A max that is not an int raises TypeError before
+either check.
 """
 from __future__ import annotations
 
@@ -230,8 +231,11 @@ def _census_chunk(segment) -> list:
 
 def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     """Counts of odd primes 3 < p <= max_prime per (bucket, residue) cell;
-    all six cells are present, empty ones as zero. A max_prime past
-    MAX_CENSUS raises ValueError before any sieving."""
+    all six cells are present, empty ones as zero. A max_prime that is not
+    an int raises TypeError, and one past MAX_CENSUS ValueError, before any
+    sieving."""
+    if not isinstance(max_prime, int):
+        raise TypeError(f"max {max_prime!r} is not an int")
     if max_prime > MAX_CENSUS:
         raise ValueError(f"max {max_prime} is larger than {MAX_CENSUS}, "
                          f"the largest census max")
@@ -294,7 +298,10 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     """Check every same-residue pair of odd primes 3 < a < b <= max_prime:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
     bound. Returns violations sorted by (a, b, p); the expectation is none.
-    A max_prime past MAX_LEMMA1 raises ValueError before any sieving."""
+    A max_prime that is not an int raises TypeError, and one past MAX_LEMMA1
+    ValueError, before any sieving."""
+    if not isinstance(max_prime, int):
+        raise TypeError(f"max {max_prime!r} is not an int")
     if max_prime > MAX_LEMMA1:
         raise ValueError(f"max {max_prime} is larger than {MAX_LEMMA1}, "
                          f"the largest lemma 1 max")
@@ -360,8 +367,11 @@ def lemma2_scan(max_p: int) -> list:
     """All positive integer solutions of p^2+p+1 = r, q^2+q+1 = 3r with
     p <= max_p, sorted by p. The supporting lemma says no solution has p an
     odd prime; solutions that do exist (like p = 2) are incidental. The
-    walk takes O(log max_p) steps in one process. A max_p past MAX_LEMMA2
-    raises ValueError before the walk."""
+    walk takes O(log max_p) steps in one process. A max_p that is not an
+    int raises TypeError, and one past MAX_LEMMA2 ValueError, before the
+    walk."""
+    if not isinstance(max_p, int):
+        raise TypeError(f"max {max_p!r} is not an int")
     if max_p > MAX_LEMMA2:
         raise ValueError("max is larger than 10^1200, the largest lemma 2 max")
     return _lemma2_chunk(max_p)

@@ -1,15 +1,18 @@
 """Model-level LP interface: exact minimization over a constraint system,
-best provable constants for a given slope, and slope frontiers.
+slope frontiers, and the best provable constant for one slope.
 
-best_constant(system, a) computes b* = min(Omega - a*omega) over the LP
-relaxation, so Omega >= a*omega + b* holds at every feasible point and the
-optimal dual multipliers form a Certificate proving exactly that bound.
+frontier(system, slopes) gives one SlopeBound per slope. Its constant b* is
+min(Omega - a*omega) over the LP relaxation, so Omega >= a*omega + b* holds
+at every feasible point, and the optimal dual multipliers form a Certificate
+proving exactly that bound. A slope whose objective has no finite minimum
+gets the row SlopeBound(slope, None, None, None). best_constant(system, a)
+is the one-slope frontier, and raises UnboundedSlopeError for that row.
 
 Each call builds the system's simplex rows and passes them once to
-simplex.feasible, which checks them and runs phase 1: minimize and
-best_constant for their one objective, frontier for all its slopes. Each
-objective is then one simplex.solve from that tableau. Nothing is kept
-between calls, so a fresh system and a solved one take the same path.
+simplex.feasible, which checks them and runs phase 1: minimize for its one
+objective, frontier for all its slopes. Each objective is then one
+simplex.solve from that tableau. Nothing is kept between calls, so a fresh
+system and a solved one take the same path.
 """
 from __future__ import annotations
 
@@ -43,9 +46,10 @@ class LPSolution(NamedTuple):
 
 class SlopeBound(NamedTuple):
     slope: Fraction
-    constant: Fraction
-    certificate: Certificate
-    witness: dict  # Var -> Fraction, a feasible point attaining the constant
+    # the other three are None when the slope is unbounded
+    constant: Fraction | None
+    certificate: Certificate | None
+    witness: dict | None  # Var -> Fraction, a feasible point attaining the constant
 
 
 def _standard_form(system: ConstraintSystem):
@@ -86,53 +90,42 @@ def _minimize(system: ConstraintSystem, start, objective: LinExpr) -> LPSolution
 
 
 def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
-    """Largest b with Omega >= slope*omega + b across the system, plus the
-    dual certificate (re-verified) and an attaining witness. The slope must
-    be a numbers.Rational: a float would be solved as its binary value."""
+    """frontier's row for the one slope, or UnboundedSlopeError when the
+    slope is unbounded. The slope must be a numbers.Rational, else
+    TypeError before phase 1: a float would be solved as its binary value."""
     slope = as_rational(slope, "slope")
-    return _best_constant(system, _standard_form(system), slope)
-
-
-def _best_constant(system: ConstraintSystem, start, slope: Fraction) -> SlopeBound:
-    objective = LinExpr({Var.Omega: 1, Var.omega: -slope})
-    solution = _minimize(system, start, objective)
-    if solution.status is simplex.Status.UNBOUNDED:
-        raise UnboundedSlopeError(
-            f"slope {format_rational(slope)} not supported by system")
-    if not solution.optimal:
-        raise RuntimeError(f"system unexpectedly {solution.status.value}")
-    cert = Certificate(
-        case=system.case,
-        include_f3_min2=system.include_f3_min2,
-        multipliers={name: m for name, m in solution.multipliers.items() if m},
-        claimed_slope=slope,
-        claimed_constant=solution.value,
-    )
-    report = verify_certificate(system, cert)
-    if not report.passed:
-        raise RuntimeError(f"dual certificate failed: {report.failure_reason}")
-    if report.derived_constant != solution.value:
-        raise RuntimeError(f"certificate gives {report.derived_constant}, LP {solution.value}")
-    return SlopeBound(slope, solution.value, cert, solution.primal)
-
-
-class FrontierRow(NamedTuple):
-    slope: Fraction
-    constant: Fraction | None          # None when the slope is unbounded
-    certificate: Certificate | None
+    bound = frontier(system, [slope])[0]
+    if bound.constant is None:
+        raise UnboundedSlopeError(f"slope {format_rational(slope)} not supported by system")
+    return bound
 
 
 def frontier(system: ConstraintSystem, slopes) -> list:
-    """best_constant per requested slope, in the given order; unbounded
-    slopes produce a row with no constant instead of failing the sweep."""
+    """One SlopeBound per requested slope, in the given order: the largest b
+    with Omega >= slope*omega + b across the system, the dual certificate
+    (re-verified) and an attaining witness. An unbounded slope gets a row
+    with None in place of the three, instead of failing the sweep."""
     start = _standard_form(system)
     rows = []
     for slope in slopes:
         slope = as_rational(slope, "slope")
-        try:
-            bound = _best_constant(system, start, slope)
-        except UnboundedSlopeError:
-            rows.append(FrontierRow(slope, None, None))
-        else:
-            rows.append(FrontierRow(bound.slope, bound.constant, bound.certificate))
+        solution = _minimize(system, start, LinExpr({Var.Omega: 1, Var.omega: -slope}))
+        if solution.status is simplex.Status.UNBOUNDED:
+            rows.append(SlopeBound(slope, None, None, None))
+            continue
+        if not solution.optimal:
+            raise RuntimeError(f"system unexpectedly {solution.status.value}")
+        cert = Certificate(
+            case=system.case,
+            include_f3_min2=system.include_f3_min2,
+            multipliers={name: m for name, m in solution.multipliers.items() if m},
+            claimed_slope=slope,
+            claimed_constant=solution.value,
+        )
+        report = verify_certificate(system, cert)
+        if not report.passed:
+            raise RuntimeError(f"dual certificate failed: {report.failure_reason}")
+        if report.derived_constant != solution.value:
+            raise RuntimeError(f"certificate gives {report.derived_constant}, LP {solution.value}")
+        rows.append(SlopeBound(slope, solution.value, cert, solution.primal))
     return rows

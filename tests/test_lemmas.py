@@ -362,6 +362,22 @@ def test_scans_past_their_caps_raise_before_sieving(monkeypatch):
         lemma2_scan(lemmas.MAX_LEMMA2 + 1)
 
 
+@pytest.mark.parametrize("scan, value", [
+    (bucket_census, 1000.0), (bucket_census, 9e6), (bucket_census, Fraction(1000)),
+    (lemma1_scan, 1000.0), (lemma1_scan, 1e8), (lemma1_scan, "1000"),
+    (lemma2_scan, 1000.5), (lemma2_scan, float("nan")), (lemma2_scan, float("inf")),
+])
+def test_scan_max_that_is_not_an_int_raises_before_the_cap_and_sieving(monkeypatch,
+                                                                       scan, value):
+    def no_sieve(*args):
+        raise AssertionError("the scan sieved")
+
+    monkeypatch.setattr(lemmas, "odd_prime_flags", no_sieve)
+    monkeypatch.setattr(lemmas, "_lemma2_chunk", no_sieve)
+    with pytest.raises(TypeError, match=f"^max {re.escape(repr(value))} is not an int$"):
+        scan(value)
+
+
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
     monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     # with k = 10^9 every shared prime breaks the bound, so the walk must

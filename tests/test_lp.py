@@ -227,12 +227,14 @@ def test_sweep_matches_fraction_oracle(system):
             c.name: y for c, y in zip(system.constraints, want.duals) if y}, slope
 
 
-def test_float_slope_raises_type_error():
+def test_float_slope_raises_type_error(monkeypatch):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    calls = _count_simplex_calls(monkeypatch)
     with pytest.raises(TypeError, match=r"slope 0.1 is not a rational number"):
         best_constant(WITH3, 0.1)
     with pytest.raises(TypeError, match="slope '1/10'"):
         best_constant(WITH3, "1/10")
+    assert calls == {"feasible": 0, "solve": 0}  # refused before phase 1
     assert best_constant(WITH3, 2).constant == best_constant(WITH3, Fraction(2)).constant
 
 
@@ -262,6 +264,19 @@ def test_phase_one_runs_once_per_call(monkeypatch):
     assert calls == {"feasible": 5, "solve": 3 * len(SWEEP) + 3}
     minimize(NO3, LinExpr({Var.e: 1}))
     assert calls == {"feasible": 6, "solve": 3 * len(SWEEP) + 4}
+
+
+@pytest.mark.parametrize("system, tip", [(NO3, Fraction(8, 3)), (WITH3, Fraction(21, 8)),
+                                         (WITH3_SHARP, Fraction(21, 8))],
+                         ids=["three_coprime", "three_divides", "f3_min2"])
+def test_best_constant_is_the_one_slope_frontier(system, tip):
+    for slope in (Fraction(2), tip):
+        assert best_constant(system, slope) == frontier(system, [slope])[0]
+    unbounded = frontier(system, [3])
+    assert unbounded == [lp.SlopeBound(Fraction(3), None, None, None)]
+    assert type(unbounded[0].slope) is Fraction
+    with pytest.raises(UnboundedSlopeError, match=r"^slope 3 not supported by system$"):
+        best_constant(system, Fraction(3))
 
 
 def test_infeasible_system_stops_after_phase_one(monkeypatch):

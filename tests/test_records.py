@@ -8,14 +8,12 @@ from fractions import Fraction
 import pytest
 
 from opnbounds import (Case, Lemma1Violation, LinExpr, Var, best_constant,
-                       build_system, classify_prime, frontier, integer_scan,
-                       lemma2_scan, minimize, shared_primes, simplex,
-                       verify_certificate)
+                       build_system, classify_prime, integer_scan, lemma2_scan,
+                       minimize, shared_primes, simplex, verify_certificate)
 
 NAMES = ("Certificate", "VerificationReport", "ScanResult", "PrimeClass",
          "SharedPrimes", "Lemma1Violation", "Lemma2Solution", "LPSolution",
-         "SlopeBound", "FrontierRow", "Constraint", "ConstraintSystem",
-         "SimplexResult")
+         "SlopeBound", "Constraint", "ConstraintSystem", "SimplexResult")
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +30,6 @@ def records():
         lemma2_scan(10)[0],
         minimize(system, LinExpr({Var.Omega: 1, Var.omega: -2})),
         bound,
-        frontier(system, [Fraction(2)])[0],
         system.constraints[0],
         system,
         simplex.solve(simplex.feasible([[1, 1]], [simplex.GE], [1]), [1, 1]),

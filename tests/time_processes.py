@@ -87,6 +87,8 @@ def main() -> None:
     parser.add_argument("new", type=Path, metavar="NEW_SRC")
     parser.add_argument("--reps", type=int, default=21)
     args = parser.parse_args()
+    if args.reps < 1:
+        sys.exit("error: --reps must be at least 1")
     trees = (args.old.resolve(), args.new.resolve())
     for src in trees:
         if not (src / "opnbounds" / "__main__.py").is_file():
