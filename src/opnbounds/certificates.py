@@ -22,6 +22,7 @@ TypeError naming it.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
@@ -30,6 +31,10 @@ from .model import Case, ConstraintSystem, Relation, Var, build_system
 from .rationals import as_rational, format_rational, parse_rational
 
 _ZERO = Fraction(0)
+_VARS = tuple(Var)
+_RESIDUAL_VARS = tuple(v for v in _VARS if v is not Var.Omega and v is not Var.omega)
+# a character that json.dumps escapes even with ensure_ascii=False
+_ESCAPED = re.compile(r'["\\\x00-\x1f]')
 _SCHEMA_FIELDS = ("system", "include_f3_min2", "multipliers",
                   "claimed_slope", "claimed_constant")
 
@@ -94,7 +99,7 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
             s, terms, constant = by_name[name].body.integer_form()
             weighted.append((m.numerator, m.denominator * s, terms, constant))
     unit = lcm(*[den for _, den, _, _ in weighted])
-    coeffs = dict.fromkeys(Var, 0)
+    coeffs = dict.fromkeys(_VARS, 0)
     total_constant = 0
     for num, den, terms, constant in weighted:
         w = num * (unit // den)
@@ -108,15 +113,15 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
     derived_slope = Fraction(-coeffs[Var.omega], omega_coeff)
     derived_constant = Fraction(-total_constant, omega_coeff)
     residuals = {v: Fraction(coeffs[v], omega_coeff) if coeffs[v] else _ZERO
-                 for v in Var if v is not Var.Omega and v is not Var.omega}
+                 for v in _RESIDUAL_VARS}
     report = VerificationReport(True, None, derived_slope, derived_constant, residuals)
 
     if derived_slope != cert.claimed_slope:
         return report._replace(passed=False, failure_reason=(
             f"slope mismatch: derived {format_rational(derived_slope)}, "
             f"claimed {format_rational(cert.claimed_slope)}"))
-    for var in Var:
-        if var in residuals and residuals[var] > 0:
+    for var in _RESIDUAL_VARS:
+        if coeffs[var] > 0:  # the residual's sign, since omega_coeff > 0
             return report._replace(passed=False,
                                    failure_reason=f"positive residual: {var.name}")
     if derived_constant < cert.claimed_constant:
@@ -198,8 +203,27 @@ def load_certificate(path) -> Certificate:
     return certificate_from_dict(data)
 
 
-def save_certificate(cert: Certificate, path) -> None:
+def _json_text(value, indent="") -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=False) spells it
+    at that indent, for the values certificate_to_dict holds: a string,
+    a bool, or a dict of them. json is imported only for a string it
+    escapes, which only a hand-built multiplier name can hold."""
+    if type(value) is str:
+        if _ESCAPED.search(value) is None:
+            return f'"{value}"'
+    elif value is True or value is False:
+        return "true" if value else "false"
+    elif type(value) is dict and value:
+        inner = indent + "  "
+        items = ",\n".join([f"{inner}{_json_text(key)}: {_json_text(item, inner)}"
+                            for key, item in value.items()])
+        return f"{{\n{items}\n{indent}}}"
     import json
+    return json.dumps(value, ensure_ascii=False)
+
+
+def save_certificate(cert: Certificate, path) -> None:
+    """Write the certificate in json.dump's indent=2 layout, non-ASCII text
+    as it is, and a final newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(certificate_to_dict(cert), handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+        handle.write(_json_text(certificate_to_dict(cert)) + "\n")

@@ -90,10 +90,9 @@ def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
             print(json.dumps(payload, indent=2, ensure_ascii=False, default=format_rational))
         elif fmt == "csv":
             import csv
-            import json
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([json.dumps(cell) if isinstance(cell, bool) else cell
+            writer.writerows([("true" if cell else "false") if isinstance(cell, bool) else cell
                               for cell in row] for row in rows)
         else:
             for line in text:

@@ -10,8 +10,10 @@ is the one-slope frontier, and raises UnboundedSlopeError for that row.
 
 Each call builds the system's simplex rows and passes them once to
 simplex.feasible, which checks them and runs phase 1: minimize for its one
-objective, frontier for all its slopes. Each objective is then one
-simplex.solve from that tableau. Nothing is kept between calls, so a fresh
+objective, frontier for all its slopes. minimize then makes one
+simplex.solve from that tableau, and frontier one simplex.sweep over
+Omega + slope*(-omega) for all its slopes, after it has refused any slope
+that is not a numbers.Rational. Nothing is kept between calls, so a fresh
 system and a solved one take the same path.
 """
 from __future__ import annotations
@@ -27,6 +29,12 @@ from .certificates import Certificate, verify_certificate
 from .linexpr import LinExpr
 from .model import ConstraintSystem, Relation, Var
 from .rationals import as_rational, format_rational
+
+
+_VARS = tuple(Var)
+# Omega - slope*omega is _BASE + slope*_STEP, as simplex costs
+_BASE = [1 if v is Var.Omega else 0 for v in _VARS]
+_STEP = [-1 if v is Var.omega else 0 for v in _VARS]
 
 
 class UnboundedSlopeError(ValueError):
@@ -55,7 +63,7 @@ class SlopeBound(NamedTuple):
 def _standard_form(system: ConstraintSystem):
     """The phase-1 tableau of the system's simplex rows, which every
     objective over the system starts from, or None when it is infeasible."""
-    rows = [[c.body.coeff(v) for v in Var] for c in system.constraints]
+    rows = [[c.body.coeff(v) for v in _VARS] for c in system.constraints]
     relations = [simplex.GE if c.relation is Relation.GE else simplex.EQ
                  for c in system.constraints]
     rhs = [-c.body.constant for c in system.constraints]
@@ -65,18 +73,19 @@ def _standard_form(system: ConstraintSystem):
 def minimize(system: ConstraintSystem, objective: LinExpr) -> LPSolution:
     """Exact minimum of the objective over the system; duals come back as a
     complete per-constraint multiplier map."""
-    return _minimize(system, _standard_form(system), objective)
-
-
-def _minimize(system: ConstraintSystem, start, objective: LinExpr) -> LPSolution:
+    start = _standard_form(system)
     if start is None:
         return LPSolution(simplex.Status.INFEASIBLE)
-    cost = [objective.coeff(v) for v in Var]
-    result = simplex.solve(start, cost)
+    return _checked(system, simplex.solve(start, [objective.coeff(v) for v in _VARS]),
+                    objective)
+
+
+def _checked(system: ConstraintSystem, result, objective: LinExpr) -> LPSolution:
+    """The LPSolution of a simplex result for the objective, after checking
+    that an optimal witness meets the system and attains the value."""
     if result.status is not simplex.Status.OPTIMAL:
         return LPSolution(result.status)
-
-    primal = {v: result.x[v.value] for v in Var}
+    primal = dict(zip(_VARS, result.x))
     broken = system.first_violated(primal)  # the witness must satisfy the system
     if broken is not None:
         raise RuntimeError(f"simplex witness violates constraint {broken.name}: "
@@ -84,8 +93,7 @@ def _minimize(system: ConstraintSystem, start, objective: LinExpr) -> LPSolution
     value = result.value + objective.constant
     if objective.evaluate(primal) != value:
         raise RuntimeError(f"objective at the simplex witness is not the optimum {value}")
-    multipliers = {c.name: result.duals[i]
-                   for i, c in enumerate(system.constraints)}
+    multipliers = {c.name: y for c, y in zip(system.constraints, result.duals)}
     return LPSolution(simplex.Status.OPTIMAL, value, primal, multipliers)
 
 
@@ -93,10 +101,9 @@ def best_constant(system: ConstraintSystem, slope: Fraction) -> SlopeBound:
     """frontier's row for the one slope, or UnboundedSlopeError when the
     slope is unbounded. The slope must be a numbers.Rational, else
     TypeError before phase 1: a float would be solved as its binary value."""
-    slope = as_rational(slope, "slope")
     bound = frontier(system, [slope])[0]
     if bound.constant is None:
-        raise UnboundedSlopeError(f"slope {format_rational(slope)} not supported by system")
+        raise UnboundedSlopeError(f"slope {format_rational(bound.slope)} not supported by system")
     return bound
 
 
@@ -104,12 +111,17 @@ def frontier(system: ConstraintSystem, slopes) -> list:
     """One SlopeBound per requested slope, in the given order: the largest b
     with Omega >= slope*omega + b across the system, the dual certificate
     (re-verified) and an attaining witness. An unbounded slope gets a row
-    with None in place of the three, instead of failing the sweep."""
+    with None in place of the three, instead of failing the sweep. Every
+    slope must be a numbers.Rational, else TypeError before phase 1."""
+    slopes = [as_rational(slope, "slope") for slope in slopes]
     start = _standard_form(system)
+    if start is None:
+        results = [simplex.SimplexResult(simplex.Status.INFEASIBLE)] * len(slopes)
+    else:
+        results = simplex.sweep(start, _BASE, _STEP, slopes)
     rows = []
-    for slope in slopes:
-        slope = as_rational(slope, "slope")
-        solution = _minimize(system, start, LinExpr({Var.Omega: 1, Var.omega: -slope}))
+    for slope, result in zip(slopes, results):
+        solution = _checked(system, result, LinExpr({Var.Omega: 1, Var.omega: -slope}))
         if solution.status is simplex.Status.UNBOUNDED:
             rows.append(SlopeBound(slope, None, None, None))
             continue

@@ -30,11 +30,12 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   det B by (B^-1 a_c)[r] = p/D, so by induction from det I = 1, D = |det B|
   after each pivot. Then D * B^-1 = +-adj(B), an integer matrix by Cramer's
   rule, and the new rows are D' * B'^-1 [A | b], so they are integers.
-- The objective row is the tableau's last row. It holds L*D times the
-  reduced costs, L the lcm of the cost denominators, and minus L*D times
-  the objective's value in its last column; it is L*(c | 0)*D - (L*c_B) * T,
-  integral for the same reason. A pivot updates it like any other row
-  but r, and one pricing step, price(), sets it in either phase.
+- The objective row follows the constraint rows: phase 1 has one, phase 2
+  the two of sweep's pencil below. It holds L*D times the reduced costs,
+  L the lcm of the cost denominators, and minus L*D times the objective's
+  value in its last column; it is L*(c | 0)*D - (L*c_B) * T, integral for
+  the same reason. A pivot updates it like any other row but r, and one
+  pricing step, priced(), makes it in either phase.
 - The pivots are the Fraction tableau's. Scaling a row, or a column by a
   positive factor, keeps the sign of every reduced cost and the order of
   every ratio b_i / a_i, ties included; the ratio test compares
@@ -50,17 +51,37 @@ problem enters. It checks the shapes (as many relations and rhs as rows,
 every row as long as the first, every relation GE or EQ) and that every
 coefficient and rhs is rational, once, then runs phase 1, which reads no
 objective. The feasible tableau it returns owns its rows and keeps the
-input rhs for the duality check. solve(start, objective) runs phase 2 on a
-copy of it, so a caller minimising many objectives over the same rows (lp's
-frontier does, one per slope) runs phase 1 once. That changes no answer:
-phase 2 reads only the constraint rows, since price() replaces phase 1's
-objective row, and Bland's rule picks the same pivots from the same
-tableau, so each solve ends at the same basis, x and duals as a solve that
-ran phase 1 for it alone.
+input rhs for the duality check. Phase 2 never changes it, so a caller
+minimising many objectives over the same rows runs phase 1 once. That
+changes no answer: phase 2 reads only the constraint rows, since pricing
+replaces phase 1's objective row, and Bland's rule picks the same pivots
+from the same tableau, so each objective ends at the same basis, x and
+duals as a solve that ran phase 1 for it alone.
+
+sweep(start, base, step, params) runs phase 2 for every objective
+base + t*step, t in params, in one walk (a parametric objective, as in
+Gass and Saaty 1955); solve(start, objective) is its one-objective case.
+- The objective row is kept as a pencil of two rows, the priced rows of
+  base and of step over the integer costs B = ub*base and S = us*step, and
+  every pivot updates both like any other row. Pricing is linear in the
+  cost, so for t = p/q (q > 0) the row q*us*(base row) + p*ub*(step row)
+  is the priced row of the integer cost q*ub*us times the objective. A
+  solve of that objective alone prices L times it, L the lcm of its
+  denominators, which is the same row up to a positive factor (exactly
+  it for Omega - a*omega, where ub = us = 1 and L = q), so Bland reads the
+  same signs and enters the same column, and the x and duals are equal.
+- The leaving row is the ratio test's, which reads the constraint rows and
+  the entering column only, never the objective. So the tableau after a
+  pivot depends only on the tableau before it and the entering column: the
+  walks form a tree, keyed by the entering columns from the root, whose
+  child for (node, column) is pivoted once and shared by every t whose
+  walk passes through it. Each walk keeps a Bland run's pivot limit.
+- A walk ends at an optimal node or at an unbounded column. The value and
+  the duality check are integer sums over q*ub*us*D, and Fractions are
+  formed only for the nonzero x, the nonzero duals and the value.
 """
 from __future__ import annotations
 
-import copy
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -69,7 +90,7 @@ from typing import NamedTuple
 from .rationals import as_rational, clear_denominators
 
 _ZERO = Fraction(0)
-# run() gives up after this many pivots per row and column of the tableau
+# a Bland walk gives up after this many pivots per row and column of the tableau
 _PIVOTS_PER_SIZE = 2000
 
 GE = ">="
@@ -123,18 +144,20 @@ class _Tableau:
                 row[self.art_col[i]] = 1
             self.basis.append(self.art_col.get(i, self.surplus_col.get(i)))
             self.rows.append(row)
-        self.rows.append([0] * (self.total + 1))  # the objective row, set by price()
+        self.rows.append([0] * (self.total + 1))  # the objective row, set by priced()
         self.d = 1                  # the common denominator D
 
     def copy(self) -> _Tableau:
-        """A twin whose pivots leave this tableau as it is."""
-        twin = copy.copy(self)
-        twin.rows = [row[:] for row in self.rows]
+        """A twin whose pivots leave this tableau as it is. A pivot replaces
+        rows and never edits one, so the twin shares the row lists."""
+        twin = object.__new__(_Tableau)
+        twin.__dict__.update(self.__dict__)
+        twin.rows = self.rows[:]
         twin.basis = self.basis[:]
         return twin
 
-    def price(self, cost):
-        """Make the objective row minimise sum(cost[j] * x_j), one int cost
+    def priced(self, cost) -> list:
+        """The objective row that minimises sum(cost[j] * x_j), one int cost
         per column: D times the reduced costs, and minus D times the
         objective's value as its last entry."""
         z = [self.d * v for v in cost] + [0]
@@ -142,10 +165,10 @@ class _Tableau:
             cb = cost[col]
             if cb:
                 z = [zj - cb * v for zj, v in zip(z, row)]
-        self.rows[-1] = z
+        return z
 
     def pivot(self, r, c):
-        """Fraction-free pivot on (r, c); every other row, the objective row
+        """Fraction-free pivot on (r, c); every other row, the objective rows
         included, takes the same update."""
         rows, d = self.rows, self.d
         prow = rows[r]
@@ -164,30 +187,40 @@ class _Tableau:
         self.d = p
         self.basis[r] = c
 
-    def run(self, entering_limit):
-        """Bland iterations until "optimal" or "unbounded". entering_limit
-        bounds the candidate columns (artificials are barred in phase 2)."""
+    def pivot_limit(self) -> int:
+        """The pivots a Bland walk from this tableau may make."""
+        return _PIVOTS_PER_SIZE * (len(self.basis) + self.total + 1)
+
+    def leaving(self, enter) -> int:
+        """The row of the least ratio b_i / a_i over a_i > 0 in the entering
+        column, ties to the least basic column, or -1 when there is none
+        (the objective is unbounded). It reads no objective row."""
         rows, basis = self.rows, self.basis
-        limit = _PIVOTS_PER_SIZE * (len(basis) + self.total + 1)
+        leave = -1
+        for i in range(len(basis)):
+            a = rows[i][enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                # b_i / a against b_leave / a_leave, both a positive
+                diff = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * a
+                if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        return leave
+
+    def run(self):
+        """Phase 1's Bland iterations on the last row, every column a
+        candidate, until "optimal" or "unbounded"."""
+        limit = self.pivot_limit()
         for _ in range(limit):
-            z = rows[-1]
-            for enter in range(entering_limit):
+            z = self.rows[-1]
+            for enter in range(self.total):
                 if z[enter] < 0:
                     break
             else:
                 return "optimal"
-            # least ratio b_i / a_i over a_i > 0, ties to the least basic column
-            leave = -1
-            for i in range(len(basis)):
-                a = rows[i][enter]
-                if a <= 0:
-                    continue
-                if leave >= 0:
-                    # b_i / a against b_leave / a_leave, both a positive
-                    diff = rows[i][-1] * rows[leave][enter] - rows[leave][-1] * a
-                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
-                        continue
-                leave = i
+            leave = self.leaving(enter)
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter)
@@ -198,9 +231,9 @@ class _Tableau:
 def feasible(rows, relations, rhs) -> _Tableau | None:
     """Phase 1: a feasible tableau for the rows, or None when they have no
     nonnegative solution. It depends on no objective, so one result serves
-    any number of solve calls over the same rows. A malformed shape raises
-    ValueError and a coefficient or rhs that is not rational TypeError,
-    each naming the index."""
+    any number of solve and sweep calls over the same rows. A malformed
+    shape raises ValueError and a coefficient or rhs that is not rational
+    TypeError, each naming the index."""
     m, n = len(rows), len(rows[0]) if rows else 0
     if not m == len(relations) == len(rhs):
         raise ValueError(f"index {min(m, len(relations), len(rhs))} is not in all of rows, "
@@ -220,8 +253,8 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
         cost = [0] * tb.total
         for i, col in tb.art_col.items():
             cost[col] = unit // tb.scale[i]
-        tb.price(cost)
-        if tb.run(tb.total) != "optimal":
+        tb.rows[-1] = tb.priced(cost)
+        if tb.run() != "optimal":
             raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
         if tb.rows[-1][-1]:
             return None
@@ -231,47 +264,95 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
 
 def solve(start: _Tableau, objective) -> SimplexResult:
     """Phase 2: minimize objective . x over the rows of start, a tableau
-    from feasible(); see the module docstring for the problem form. It runs
-    on a copy, so start itself is left unchanged."""
-    _check_rational(objective, "objective")
-    n = len(objective)
-    if start.n != n:
-        raise ValueError(f"objective has {n} coefficients, the rows {start.n} columns")
-    tb = start.copy()
-    unit, c = clear_denominators(objective)
+    from feasible(); see the module docstring for the problem form. It is
+    sweep's one-objective case, so start itself is left unchanged."""
+    return sweep(start, objective, [0] * len(objective), (0,))[0]
 
-    # phase 2: the real objective over the feasible tableau, as unit*D times
-    # the reduced costs
-    tb.price(c + [0] * (tb.total - n))
-    if tb.run(tb.first_art) == "unbounded":
-        return SimplexResult(Status.UNBOUNDED)
 
-    # back to Fractions; zeros add nothing to either side of the duality check
-    x = [_ZERO] * n
-    value = _ZERO
-    for row, col in zip(tb.rows, tb.basis):
-        if col < n and row[-1]:
-            x[col] = Fraction(row[-1], tb.d)
-            value += objective[col] * x[col]
+def sweep(start: _Tableau, base, step, params) -> list:
+    """[solve(start, base + t*step) for t in params], from one walk over a
+    tree of tableaus that the objectives share; see the module docstring.
+    A cost that is not rational, or not one per column, is refused naming
+    base "objective" and step "step"; every t must be a numbers.Rational."""
+    pencil = []
+    for name, cost in (("objective", base), ("step", step)):
+        _check_rational(cost, name)
+        if len(cost) != start.n:
+            raise ValueError(f"{name} has {len(cost)} coefficients, the rows {start.n} columns")
+        pencil.append(clear_denominators(cost))
+    ts = [as_rational(t, f"params[{k}]") for k, t in enumerate(params)]
+    (ub, b), (us, s) = pencil
+    n, first_art = start.n, start.first_art
+    pad = [0] * (start.total - n)
+    root = start.copy()
+    # the pencil: base's and step's priced rows replace phase 1's objective row
+    root.rows[-1:] = [root.priced(b + pad), root.priced(s + pad)]
+    limit = root.pivot_limit()
+    rhs_unit, rhs = clear_denominators(start.rhs)
+    # per input row: the column its dual reads off, that column's sign, and
+    # whether the row is an inequality
+    dual_cols = [(start.surplus_col[i], 1, True) if i in start.surplus_col
+                 else (start.art_col[i], -start.sigma[i], False) for i in range(len(rhs))]
+    tree = {(): root}   # tableau per path of entering columns; None past an unbounded one
 
-    z = tb.rows[-1]
-    duals = [_ZERO] * len(tb.rhs)
-    paid = _ZERO
-    per_dual = unit * tb.d
-    for i, b in enumerate(tb.rhs):
-        if i in tb.surplus_col:
-            reduced = z[tb.surplus_col[i]]
-            if reduced < 0:
+    def optimum(node, wb, ws, unit) -> SimplexResult:
+        """The result at an optimal node for the integer cost wb*b + ws*s,
+        which is unit times the objective."""
+        d = node.d
+        x = [_ZERO] * n
+        value = 0           # the objective at x, times unit*D
+        for row, col in zip(node.rows, node.basis):
+            if col < n and row[-1]:
+                x[col] = Fraction(row[-1], d)
+                value += (wb * b[col] + ws * s[col]) * row[-1]
+        zb, zs = node.rows[-2], node.rows[-1]
+        per_dual = unit * d
+        duals = [_ZERO] * len(rhs)
+        paid = 0            # sum(y_i * rhs_i), times unit*D*rhs_unit
+        for i, (col, sign, ge) in enumerate(dual_cols):
+            reduced = sign * (wb * zb[col] + ws * zs[col])
+            if ge and reduced < 0:
                 raise RuntimeError(f"dual of inequality row {i} is negative: "
-                                   f"{Fraction(tb.scale[i] * reduced, per_dual)}")
+                                   f"{Fraction(start.scale[i] * reduced, per_dual)}")
+            if reduced:
+                duals[i] = Fraction(start.scale[i] * reduced, per_dual)
+                paid += start.scale[i] * reduced * rhs[i]
+        if paid != value * rhs_unit:
+            raise RuntimeError(f"strong duality fails: dual value "
+                               f"{Fraction(paid, per_dual * rhs_unit)}, primal value "
+                               f"{Fraction(value, per_dual)}")
+        return SimplexResult(Status.OPTIMAL, Fraction(value, per_dual), x, duals)
+
+    results = []
+    for t in ts:
+        # t = p/q: q*us*b + p*ub*s is unit = q*ub*us times base + t*step
+        wb, ws = t.denominator * us, t.numerator * ub
+        unit = t.denominator * ub * us
+        path, node = (), root
+        for _ in range(limit):
+            zb, zs = node.rows[-2], node.rows[-1]
+            for enter in range(first_art):
+                if wb * zb[enter] + ws * zs[enter] < 0:
+                    break
+            else:
+                results.append(optimum(node, wb, ws, unit))
+                break
+            path += (enter,)
+            if path not in tree:
+                leave = node.leaving(enter)
+                if leave >= 0:
+                    tree[path] = node.copy()
+                    tree[path].pivot(leave, enter)
+                else:
+                    tree[path] = None
+            node = tree[path]
+            if node is None:
+                results.append(SimplexResult(Status.UNBOUNDED))
+                break
         else:
-            reduced = -tb.sigma[i] * z[tb.art_col[i]]
-        if reduced:
-            duals[i] = Fraction(tb.scale[i] * reduced, per_dual)
-            paid += duals[i] * b
-    if paid != value:
-        raise RuntimeError(f"strong duality fails: dual value {paid}, primal value {value}")
-    return SimplexResult(Status.OPTIMAL, value, x, duals)
+            # Bland's rule makes this unreachable
+            raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
+    return results
 
 
 def _drive_out_artificials(tb: _Tableau) -> None:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnbounds.certificates import (Certificate, CertificateFormatError,
                                     certificate_from_dict, certificate_to_dict,
@@ -220,6 +222,44 @@ def test_round_trip(tmp_path):
     assert set(data) == {"system", "include_f3_min2", "multipliers",
                          "claimed_slope", "claimed_constant"}
     assert data["multipliers"]["s31_zero"] == "-10/9"
+
+
+def _assert_saved_as_json(cert, path):
+    save_certificate(cert, path)
+    want = json.dumps(certificate_to_dict(cert), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8"), cert
+
+
+# the output digest's slopes: every k/d in [-1, 4] with d <= 12
+DIGEST_SLOPES = sorted({Fraction(k, d) for d in range(1, 13) for k in range(-d, 4 * d + 1)})
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_saved_certificates_are_json_bytes(setting, tmp_path):
+    """save_certificate writes json.dump's indent=2 bytes for every
+    certificate of a frontier sweep, without json."""
+    rows = frontier(SETTINGS[setting], DIGEST_SLOPES)
+    certs = [row.certificate for row in rows if row.certificate]
+    assert len(certs) > len(DIGEST_SLOPES) // 2
+    for cert in certs:
+        _assert_saved_as_json(cert, tmp_path / "cert.json")
+    _assert_saved_as_json(certs[0]._replace(multipliers={}), tmp_path / "empty.json")
+    _assert_saved_as_json(certs[0]._replace(include_f3_min2=True), tmp_path / "f3.json")
+
+
+# names with what json escapes and what it writes as it is
+_NAME_CHARS = st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f",
+                                         "é", "Ω", "\u2028", "\u2029", "\U0001f600"]),
+                        st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(names=st.dictionaries(st.text(_NAME_CHARS, max_size=8),
+                             st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+                             max_size=4))
+def test_hand_built_names_are_saved_as_json_bytes(names, tmp_path_factory):
+    cert = Certificate(Case.THREE_DIVIDES, True, names, Fraction(21, 8), Fraction(-39, 8))
+    _assert_saved_as_json(cert, tmp_path_factory.mktemp("names") / "cert.json")
 
 
 def _write(tmp_path, payload: str) -> Path:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -608,6 +609,21 @@ def test_usage_output_matches_the_full_parser(capsys, argv):
     """A line that is not plain goes to the parser of every subcommand,
     which prints its help and errors, whatever subcommand it names."""
     assert run(capsys, *argv) == _full_parser_run(capsys, argv)
+
+
+# sha256 of main's exit code, stdout and stderr for each USAGE_CORPUS line
+# at COLUMNS=80, recorded under CPython 3.11.7
+USAGE_DIGEST = "9c6831d8a529e06dcd9cc5ce4e323e1df8d04e4099d6b99ae5d818251737f9dd"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help and usage wording differs between Python versions")
+def test_help_and_usage_bytes_match_the_pinned_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    digest = hashlib.sha256()
+    for argv in USAGE_CORPUS:
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == USAGE_DIGEST
 
 
 def _full_parser_vars(argv):

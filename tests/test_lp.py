@@ -234,13 +234,22 @@ def test_float_slope_raises_type_error(monkeypatch):
         best_constant(WITH3, 0.1)
     with pytest.raises(TypeError, match="slope '1/10'"):
         best_constant(WITH3, "1/10")
-    assert calls == {"feasible": 0, "solve": 0}  # refused before phase 1
+    assert calls == {"feasible": 0, "solve": 0, "sweep": 0}  # refused before phase 1
     assert best_constant(WITH3, 2).constant == best_constant(WITH3, Fraction(2)).constant
 
 
+def test_frontier_refuses_a_late_float_slope_before_phase_one(monkeypatch):
+    calls = _count_simplex_calls(monkeypatch)
+    with pytest.raises(TypeError, match=r"^slope 0.5 is not a rational number$"):
+        frontier(NO3, [Fraction(k, 7) for k in range(14)] + [0.5])
+    assert calls == {"feasible": 0, "solve": 0, "sweep": 0}
+
+
 def _count_simplex_calls(monkeypatch):
-    """Live counts of simplex.feasible (phase 1) and simplex.solve calls."""
-    calls = {"feasible": 0, "solve": 0}
+    """Live counts of simplex.feasible (phase 1), simplex.solve and
+    simplex.sweep calls; solve is sweep's one-objective case, so each solve
+    counts a sweep too."""
+    calls = {"feasible": 0, "solve": 0, "sweep": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -257,13 +266,13 @@ def test_phase_one_runs_once_per_call(monkeypatch):
     calls = _count_simplex_calls(monkeypatch)
     for system in (NO3, WITH3, WITH3_SHARP):
         frontier(system, SWEEP)
-    assert calls == {"feasible": 3, "solve": 3 * len(SWEEP)}
+    assert calls == {"feasible": 3, "solve": 0, "sweep": 3}  # one sweep for all slopes
     frontier(NO3, SWEEP[:2])                # a second sweep over one system
-    assert calls == {"feasible": 4, "solve": 3 * len(SWEEP) + 2}
+    assert calls == {"feasible": 4, "solve": 0, "sweep": 4}
     best_constant(NO3, Fraction(8, 3))
-    assert calls == {"feasible": 5, "solve": 3 * len(SWEEP) + 3}
+    assert calls == {"feasible": 5, "solve": 0, "sweep": 5}
     minimize(NO3, LinExpr({Var.e: 1}))
-    assert calls == {"feasible": 6, "solve": 3 * len(SWEEP) + 4}
+    assert calls == {"feasible": 6, "solve": 1, "sweep": 6}
 
 
 @pytest.mark.parametrize("system, tip", [(NO3, Fraction(8, 3)), (WITH3, Fraction(21, 8)),
@@ -287,10 +296,10 @@ def test_infeasible_system_stops_after_phase_one(monkeypatch):
     solution = minimize(stuck, LinExpr({Var.Omega: 1}))
     assert solution == lp.LPSolution(Status.INFEASIBLE)
     assert solution.primal is None and solution.multipliers is None
-    assert calls == {"feasible": 1, "solve": 0}
+    assert calls == {"feasible": 1, "solve": 0, "sweep": 0}
     with pytest.raises(RuntimeError, match="^system unexpectedly infeasible$"):
         best_constant(stuck, Fraction(8, 3))
-    assert calls == {"feasible": 2, "solve": 0}
+    assert calls == {"feasible": 2, "solve": 0, "sweep": 0}
 
 
 @pytest.mark.parametrize("ablated_first", [True, False])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from opnbounds import lp, simplex
 from opnbounds.model import Case, Var, build_system
 from opnbounds.rationals import clear_denominators
-from opnbounds.simplex import EQ, GE, Status, feasible, solve
+from opnbounds.simplex import EQ, GE, Status, feasible, solve, sweep
 
 import simplex_fraction_oracle as oracle
 from lp_bruteforce import brute_force_lp
@@ -183,6 +183,12 @@ def _assert_matches_oracle(rows, relations, rhs, objective):
     problem = (rows, relations, rhs, objective)
     assert (got.status, got.value, got.x, got.duals) == \
         (want.status, want.value, want.x, want.duals), problem
+    # simplex walks phase 2 in sweep, without run(), so the oracle's phase-2
+    # run, its last record, is left out; the pivots, which fix the final
+    # basis, are all compared
+    if want.status is not Status.INFEASIBLE:
+        assert want_trace[-1][0] == want.status.value, problem
+        want_trace = want_trace[:-1]
     assert got_trace == want_trace, problem
     return got, got_trace
 
@@ -338,16 +344,18 @@ def test_feasible_rejects_malformed_shapes(rows, relations, rhs, named):
         feasible(rows, relations, rhs)
 
 
-def _assert_tableau_invariant(tb, rows, relations, rhs, unit, cost):
+def _assert_tableau_invariant(tb, rows, relations, rhs, objectives):
     """T = D * B^-1 [A | b] with its rhs in the last column: D > 0, each
     basic column is D in its own row and 0 in every other, the objective
-    row included, which ends in -unit*D times the cost at x; b >= 0, and
-    the x read off the last column meets every input row."""
+    rows included; b >= 0, and the x read off the last column meets every
+    input row. The objective rows follow the constraint rows, one per
+    (unit, cost) of objectives, and each ends in -unit*D times its cost at x."""
     d = tb.d
     assert d > 0
     for i, col in enumerate(tb.basis):
         assert [row[col] for row in tb.rows] == [d if k == i else 0 for k in range(len(tb.rows))]
-    assert all(row[-1] >= 0 for row in tb.rows[:-1])
+    m = len(tb.basis)
+    assert all(row[-1] >= 0 for row in tb.rows[:m])
     x = [Fraction(0)] * tb.n
     for row, col in zip(tb.rows, tb.basis):
         if col < tb.n:
@@ -355,7 +363,9 @@ def _assert_tableau_invariant(tb, rows, relations, rhs, unit, cost):
     for row, relation, b in zip(rows, relations, rhs):
         lhs = sum(Fraction(a) * v for a, v in zip(row, x))
         assert lhs == b if relation == EQ else lhs >= b
-    assert tb.rows[-1][-1] == -unit * d * sum(c * v for c, v in zip(cost, x))
+    assert len(tb.rows) == m + len(objectives)
+    for z, (unit, cost) in zip(tb.rows[m:], objectives):
+        assert z[-1] == -unit * d * sum(c * v for c, v in zip(cost, x))
 
 
 def _check_invariant_through_both_phases(rows, relations, rhs, objectives):
@@ -365,17 +375,18 @@ def _check_invariant_through_both_phases(rows, relations, rhs, objectives):
     if start is None:
         return 0
     # phase 1 ends at value 0, or priced nothing when no row needed an artificial
-    _assert_tableau_invariant(start, rows, relations, rhs, 1, [0] * start.n)
+    _assert_tableau_invariant(start, rows, relations, rhs, [(1, [0] * start.n)])
     checked = 0
     pivot = simplex._Tableau.pivot
 
     for objective in objectives:
-        unit, _ = clear_denominators(objective)
+        # solve's pencil: the objective, and a step of 0
+        pencil = [(clear_denominators(objective)[0], objective), (1, [0] * start.n)]
 
         def checked_pivot(self, r, c):
             nonlocal checked
             pivot(self, r, c)
-            _assert_tableau_invariant(self, rows, relations, rhs, unit, objective)
+            _assert_tableau_invariant(self, rows, relations, rhs, pencil)
             checked += 1
 
         with mock.patch.object(simplex._Tableau, "pivot", checked_pivot):
@@ -407,3 +418,113 @@ def test_tableau_invariant_on_the_model_systems(case, f3_min2):
         objectives.append(cost)
     objectives += [[-1 if u is v else 0 for u in Var] for v in Var]
     assert _check_invariant_through_both_phases(rows, relations, rhs, objectives) > 10
+
+
+def _counted_pivots(call):
+    """call()'s result and the pivots it made."""
+    pivots = 0
+    pivot = simplex._Tableau.pivot
+
+    def counted(self, r, c):
+        nonlocal pivots
+        pivots += 1
+        pivot(self, r, c)
+
+    with mock.patch.object(simplex._Tableau, "pivot", counted):
+        result = call()
+    return result, pivots
+
+
+def _assert_sweep_is_the_solves(rows, relations, rhs, base, step, ts):
+    """sweep gives, field by field, one solve per objective base + t*step;
+    the tableau invariant holds at every node of its tree, and it makes no
+    more pivots than the solves. Returns the results."""
+    start = feasible(rows, relations, rhs)
+    if start is None:
+        return []
+    before = copy.deepcopy(vars(start))
+    want, solo_pivots = _counted_pivots(lambda: [
+        solve(start, [b + t * v for b, v in zip(base, step)]) for t in ts])
+    pencil = [(clear_denominators(base)[0], base), (clear_denominators(step)[0], step)]
+    pivot = simplex._Tableau.pivot
+    nodes = 0
+
+    def checked_pivot(self, r, c):
+        nonlocal nodes
+        pivot(self, r, c)
+        _assert_tableau_invariant(self, rows, relations, rhs, pencil)
+        nodes += 1
+
+    with mock.patch.object(simplex._Tableau, "pivot", checked_pivot):
+        got = sweep(start, base, step, ts)
+    problem = (rows, relations, rhs, base, step, ts)
+    assert got == want, problem
+    for g, w in zip(got, want):
+        assert [type(v) for v in (g.value, *(g.x or ()), *(g.duals or ()))] == \
+            [type(v) for v in (w.value, *(w.x or ()), *(w.duals or ()))], problem
+    assert nodes <= solo_pivots, problem
+    assert vars(start) == before
+    return got
+
+
+# negative, zero, tiny, large and repeated t
+_TS = [Fraction(-7, 2), -1, Fraction(-1, 3), 0, Fraction(1, 1000), Fraction(2, 3), 1,
+       Fraction(5, 2), 9, Fraction(2, 3), -40]
+
+
+def test_sweep_is_the_solves_on_seeded_draws():
+    rng = random.Random(20241020)
+    statuses = {status: 0 for status in Status}
+    mixed = 0
+    for _ in range(600):
+        rows, relations, rhs, base = _rational_problem(rng)
+        step = [_rational(rng) for _ in base]
+        results = _assert_sweep_is_the_solves(rows, relations, rhs, base, step, _TS)
+        for result in results:
+            statuses[result.status] += 1
+        mixed += len({result.status for result in results}) > 1
+    assert statuses[Status.OPTIMAL] > 1000 and statuses[Status.UNBOUNDED] > 1000, statuses
+    assert mixed > 50  # sweeps with optimal and unbounded t
+
+
+def test_sweep_is_the_solves_on_beale_and_degenerate_rows():
+    # Beale's cycling objective at t = 0, and the redundant and dropped rows
+    cases = [
+        (BEALE_ROWS, [GE, GE, GE], BEALE_RHS, BEALE_OBJECTIVE, [1, 0, -1, 0]),
+        ([[1, 1], [1, 1], [2, 2]], [EQ, EQ, EQ], [2, 2, 4], [1, 0], [-1, 1]),
+        ([[-2, 0, -1], [2, -1, 1], [0, 2, 0]], [EQ] * 3, [-1, 0, 2], [1, 1, 1], [0, -1, 2]),
+        ([[2, -1], [-1, 0]], [GE, EQ], [0, 0], [1, 1], [-1, 0]),
+    ]
+    for rows, relations, rhs, base, step in cases:
+        results = _assert_sweep_is_the_solves(rows, relations, rhs, base, step, _TS)
+        assert len(results) == len(_TS)
+    assert _assert_sweep_is_the_solves(*cases[0][:4], cases[0][4], [0])[0].value == \
+        Fraction(-1, 20)
+
+
+_MODEL_SLOPES = sorted({Fraction(k, d) for d in range(1, 49) for k in range(3 * d + 1)})
+
+
+@pytest.mark.parametrize("case, f3_min2", [
+    (Case.THREE_COPRIME, False), (Case.THREE_DIVIDES, False), (Case.THREE_DIVIDES, True)])
+def test_sweep_is_the_solves_on_the_model_systems(case, f3_min2):
+    """Omega - slope*omega over the 2137 slopes k/d in [0, 3], d <= 48."""
+    with mock.patch.object(simplex, "feasible", wraps=simplex.feasible) as spy:
+        lp._standard_form(build_system(case, f3_min2))
+    rows, relations, rhs = spy.call_args.args
+    base = [1 if v is Var.Omega else 0 for v in Var]
+    step = [-1 if v is Var.omega else 0 for v in Var]
+    assert len(_MODEL_SLOPES) == 2137
+    results = _assert_sweep_is_the_solves(rows, relations, rhs, base, step, _MODEL_SLOPES)
+    assert {result.status for result in results} == {Status.OPTIMAL, Status.UNBOUNDED}
+
+
+def test_sweep_refuses_what_solve_refuses():
+    start = feasible([[1, 1]], [GE], [1])
+    with pytest.raises(ValueError, match="^step has 1 coefficients, the rows 2 columns$"):
+        sweep(start, [1, 1], [1], [0])
+    with pytest.raises(TypeError, match=r"^step\[0\] 0.5 is not a rational number$"):
+        sweep(start, [1, 1], [0.5, 1], [0])
+    with pytest.raises(TypeError, match=r"^params\[1\] 0.5 is not a rational number$"):
+        sweep(start, [1, 1], [1, 1], [1, 0.5])
+    assert sweep(start, [1, 1], [1, 0], []) == []

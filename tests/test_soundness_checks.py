@@ -49,15 +49,16 @@ def test_pivot_limit_raises_runtime_error(monkeypatch):
 
 def test_minimize_raises_naming_the_row_a_witness_breaks(monkeypatch):
     system = build_system(Case.THREE_COPRIME)
-    solve = simplex.solve
+    sweep = simplex.sweep
 
     def lowered_omega(*args, **kwargs):
         # Omega - 1 breaks omega_lower, the only row that reads Omega
-        result = solve(*args, **kwargs)
-        result.x[Var.Omega] -= 1
-        return result
+        results = sweep(*args, **kwargs)
+        for result in results:
+            result.x[Var.Omega] -= 1
+        return results
 
-    monkeypatch.setattr(lp.simplex, "solve", lowered_omega)
+    monkeypatch.setattr(lp.simplex, "sweep", lowered_omega)
     with pytest.raises(RuntimeError, match="simplex witness violates constraint omega_lower: -1$"):
         lp.best_constant(system, Fraction(2))
 
@@ -81,24 +82,24 @@ try:
 except RuntimeError as exc:
     print(exc)
 lp.verify_certificate = real
-solve = simplex.solve
+sweep = simplex.sweep
 
 def lowered_omega(*args, **kwargs):
-    result = solve(*args, **kwargs)
-    result.x[Var.Omega] -= 1
-    return result
+    results = sweep(*args, **kwargs)
+    for result in results:
+        result.x[Var.Omega] -= 1
+    return results
 
 def raised_value(*args, **kwargs):
-    result = solve(*args, **kwargs)
-    return result._replace(value=result.value + 1)
+    return [result._replace(value=result.value + 1) for result in sweep(*args, **kwargs)]
 
 for wrong in (lowered_omega, raised_value):
-    lp.simplex.solve = wrong
+    lp.simplex.sweep = wrong
     try:
         lp.best_constant(build_system(Case.THREE_COPRIME), Fraction(2))
     except RuntimeError as exc:
         print(exc)
-lp.simplex.solve = solve
+lp.simplex.sweep = sweep
 start = simplex.feasible([[1]], [simplex.GE], [1])
 start.rhs = (2,)  # a stored rhs the rows were not solved for breaks strong duality
 try:
