@@ -87,14 +87,13 @@ def verify_certificate(system: ConstraintSystem, cert: Certificate) -> Verificat
             return fail(f"unknown constraint: {name}")
         if name not in own:
             return fail(f"constraint outside the certificate's own system: {name}")
-    for name, multiplier in cert.multipliers.items():
-        if by_name[name].relation is Relation.GE and multiplier < 0:
-            return fail(f"illegal multiplier sign: {name}")
 
     # (n_i, d_i * s_i, integer row) per nonzero multiplier; see the docstring
     weighted = []
     for name, m in cert.multipliers.items():
         m = as_rational(m, "multiplier")
+        if by_name[name].relation is Relation.GE and m < 0:
+            return fail(f"illegal multiplier sign: {name}")
         if m:
             s, terms, constant = by_name[name].body.integer_form()
             weighted.append((m.numerator, m.denominator * s, terms, constant))

@@ -30,12 +30,13 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   det B by (B^-1 a_c)[r] = p/D, so by induction from det I = 1, D = |det B|
   after each pivot. Then D * B^-1 = +-adj(B), an integer matrix by Cramer's
   rule, and the new rows are D' * B'^-1 [A | b], so they are integers.
-- The objective row follows the constraint rows: phase 1 has one, phase 2
-  the two of sweep's pencil below. It holds L*D times the reduced costs,
-  L the lcm of the cost denominators, and minus L*D times the objective's
-  value in its last column; it is L*(c | 0)*D - (L*c_B) * T, integral for
-  the same reason. A pivot updates it like any other row but r, and one
-  pricing step, priced(), makes it in either phase.
+- Two objective rows, a pencil, follow the constraint rows in both phases:
+  phase 1's artificial cost and a zero row, phase 2 the two of sweep's
+  below. Each holds L*D times the reduced costs, L the lcm of its cost's
+  denominators, and minus L*D times the cost's value in its last column;
+  it is L*(c | 0)*D - (L*c_B) * T, integral for the same reason. A pivot
+  updates both like any other row but r, and one pricing step, priced(),
+  makes each.
 - The pivots are the Fraction tableau's. Scaling a row, or a column by a
   positive factor, keeps the sign of every reduced cost and the order of
   every ratio b_i / a_i, ties included; the ratio test compares
@@ -46,36 +47,36 @@ pivots fraction-free (Edmonds 1967, Bareiss 1968):
   column, z / (L*D). That holds for every input row, also when phase 1
   dropped a redundant one.
 
-There is one solve path, in two calls, and feasible() is the only place a
-problem enters. It checks the shapes (as many relations and rhs as rows,
-every row as long as the first, every relation GE or EQ) and that every
-coefficient and rhs is rational, once, then runs phase 1, which reads no
-objective. The feasible tableau it returns owns its rows and keeps the
-input rhs for the duality check. Phase 2 never changes it, so a caller
-minimising many objectives over the same rows runs phase 1 once. That
-changes no answer: phase 2 reads only the constraint rows, since pricing
-replaces phase 1's objective row, and Bland's rule picks the same pivots
-from the same tableau, so each objective ends at the same basis, x and
-duals as a solve that ran phase 1 for it alone.
+There is one Bland walk, _walk(), for both phases, and feasible() is the
+only place a problem enters. It checks the shapes (as many relations and
+rhs as rows, every row as long as the first, every relation GE or EQ) and
+that every coefficient and rhs is rational, once, then walks phase 1 over
+every column, which reads no objective. The feasible tableau it returns
+owns its rows and keeps the input rhs for the duality check. Phase 2 never
+changes it, so a caller minimising many objectives over the same rows runs
+phase 1 once. That changes no answer: phase 2 reads only the constraint
+rows, since pricing replaces phase 1's pencil, and Bland's rule picks the
+same pivots from the same tableau, so each objective ends at the same
+basis, x and duals as a solve that ran phase 1 for it alone.
 
 sweep(start, base, step, params) runs phase 2 for every objective
 base + t*step, t in params, in one walk (a parametric objective, as in
 Gass and Saaty 1955); solve(start, objective) is its one-objective case.
-- The objective row is kept as a pencil of two rows, the priced rows of
-  base and of step over the integer costs B = ub*base and S = us*step, and
-  every pivot updates both like any other row. Pricing is linear in the
-  cost, so for t = p/q (q > 0) the row q*us*(base row) + p*ub*(step row)
-  is the priced row of the integer cost q*ub*us times the objective. A
-  solve of that objective alone prices L times it, L the lcm of its
-  denominators, which is the same row up to a positive factor (exactly
-  it for Omega - a*omega, where ub = us = 1 and L = q), so Bland reads the
-  same signs and enters the same column, and the x and duals are equal.
+- The pencil is the priced rows of base and of step over the integer
+  costs B = ub*base and S = us*step, and every pivot updates both like any
+  other row. Pricing is linear in the cost, so for t = p/q (q > 0) the row
+  q*us*(base row) + p*ub*(step row) is the priced row of the integer cost
+  q*ub*us times the objective. A solve of that objective alone prices L
+  times it, L the lcm of its denominators, which is the same row up to a
+  positive factor (exactly it for Omega - a*omega, where ub = us = 1 and
+  L = q), so Bland reads the same signs and enters the same column, and
+  the x and duals are equal.
 - The leaving row is the ratio test's, which reads the constraint rows and
   the entering column only, never the objective. So the tableau after a
   pivot depends only on the tableau before it and the entering column: the
   walks form a tree, keyed by the entering columns from the root, whose
   child for (node, column) is pivoted once and shared by every t whose
-  walk passes through it. Each walk keeps a Bland run's pivot limit.
+  walk passes through it. Each walk keeps the pivot limit.
 - A walk ends at an optimal node or at an unbounded column. The value and
   the duality check are integer sums over q*ub*us*D, and Fractions are
   formed only for the nonzero x, the nonzero duals and the value.
@@ -144,7 +145,6 @@ class _Tableau:
                 row[self.art_col[i]] = 1
             self.basis.append(self.art_col.get(i, self.surplus_col.get(i)))
             self.rows.append(row)
-        self.rows.append([0] * (self.total + 1))  # the objective row, set by priced()
         self.d = 1                  # the common denominator D
 
     def copy(self) -> _Tableau:
@@ -187,10 +187,6 @@ class _Tableau:
         self.d = p
         self.basis[r] = c
 
-    def pivot_limit(self) -> int:
-        """The pivots a Bland walk from this tableau may make."""
-        return _PIVOTS_PER_SIZE * (len(self.basis) + self.total + 1)
-
     def leaving(self, enter) -> int:
         """The row of the least ratio b_i / a_i over a_i > 0 in the entering
         column, ties to the least basic column, or -1 when there is none
@@ -209,23 +205,36 @@ class _Tableau:
             leave = i
         return leave
 
-    def run(self):
-        """Phase 1's Bland iterations on the last row, every column a
-        candidate, until "optimal" or "unbounded"."""
-        limit = self.pivot_limit()
-        for _ in range(limit):
-            z = self.rows[-1]
-            for enter in range(self.total):
-                if z[enter] < 0:
-                    break
+
+def _walk(tree, wb, ws, columns):
+    """Bland's rule from tree[()] on the reduced costs wb*z_b + ws*z_s read
+    off the two pencil rows, entering the least column below columns whose
+    cost is negative. tree maps each path of entering columns to its
+    tableau, None past an unbounded column, and gains every child it
+    pivots. Returns (OPTIMAL, the last tableau) or (UNBOUNDED, the tableau
+    whose entering column has no leaving row)."""
+    path, node = (), tree[()]
+    limit = _PIVOTS_PER_SIZE * (len(node.basis) + node.total + 1)
+    for _ in range(limit):
+        zb, zs = node.rows[-2], node.rows[-1]
+        for enter in range(columns):
+            if wb * zb[enter] + ws * zs[enter] < 0:
+                break
+        else:
+            return Status.OPTIMAL, node
+        path += (enter,)
+        if path not in tree:
+            leave = node.leaving(enter)
+            if leave >= 0:
+                tree[path] = node.copy()
+                tree[path].pivot(leave, enter)
             else:
-                return "optimal"
-            leave = self.leaving(enter)
-            if leave < 0:
-                return "unbounded"
-            self.pivot(leave, enter)
-        # Bland's rule makes this unreachable
-        raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
+                tree[path] = None
+        if tree[path] is None:
+            return Status.UNBOUNDED, node
+        node = tree[path]
+    # Bland's rule makes this unreachable
+    raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
 
 
 def feasible(rows, relations, rhs) -> _Tableau | None:
@@ -246,19 +255,20 @@ def feasible(rows, relations, rhs) -> _Tableau | None:
         _check_rational(row, f"rows[{i}]")
     _check_rational(rhs, "rhs")
     tb = _Tableau(rows, relations, rhs, n)
-    if tb.art_col:
-        # minimize the artificial sum; artificial i stands for s_i times the
-        # input row's, so it costs unit / s_i (unit is the docstring's M)
-        unit = lcm(*(tb.scale[i] for i in tb.art_col))
-        cost = [0] * tb.total
-        for i, col in tb.art_col.items():
-            cost[col] = unit // tb.scale[i]
-        tb.rows[-1] = tb.priced(cost)
-        if tb.run() != "optimal":
-            raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
-        if tb.rows[-1][-1]:
-            return None
-        _drive_out_artificials(tb)
+    # minimize the artificial sum, over every column; artificial i stands for
+    # s_i times the input row's, so it costs unit / s_i (unit is the
+    # docstring's M). With no artificial the walk stops at once
+    unit = lcm(*(tb.scale[i] for i in tb.art_col))
+    cost = [0] * tb.total
+    for i, col in tb.art_col.items():
+        cost[col] = unit // tb.scale[i]
+    tb.rows += [tb.priced(cost), [0] * (tb.total + 1)]
+    status, tb = _walk({(): tb}, 1, 0, tb.total)
+    if status is not Status.OPTIMAL:
+        raise RuntimeError("phase 1 unbounded, though its objective is at least 0")
+    if tb.rows[-2][-1]:
+        return None
+    _drive_out_artificials(tb)
     return tb
 
 
@@ -282,22 +292,25 @@ def sweep(start: _Tableau, base, step, params) -> list:
         pencil.append(clear_denominators(cost))
     ts = [as_rational(t, f"params[{k}]") for k, t in enumerate(params)]
     (ub, b), (us, s) = pencil
-    n, first_art = start.n, start.first_art
+    n = start.n
     pad = [0] * (start.total - n)
     root = start.copy()
-    # the pencil: base's and step's priced rows replace phase 1's objective row
-    root.rows[-1:] = [root.priced(b + pad), root.priced(s + pad)]
-    limit = root.pivot_limit()
+    # the pencil: base's and step's priced rows replace phase 1's
+    root.rows[-2:] = [root.priced(b + pad), root.priced(s + pad)]
     rhs_unit, rhs = clear_denominators(start.rhs)
     # per input row: the column its dual reads off, that column's sign, and
     # whether the row is an inequality
     dual_cols = [(start.surplus_col[i], 1, True) if i in start.surplus_col
                  else (start.art_col[i], -start.sigma[i], False) for i in range(len(rhs))]
-    tree = {(): root}   # tableau per path of entering columns; None past an unbounded one
-
-    def optimum(node, wb, ws, unit) -> SimplexResult:
-        """The result at an optimal node for the integer cost wb*b + ws*s,
-        which is unit times the objective."""
+    tree = {(): root}
+    results = []
+    for t in ts:
+        # t = p/q: the integer cost wb*b + ws*s is unit = q*ub*us times base + t*step
+        wb, ws = t.denominator * us, t.numerator * ub
+        status, node = _walk(tree, wb, ws, start.first_art)
+        if status is Status.UNBOUNDED:
+            results.append(SimplexResult(status))
+            continue
         d = node.d
         x = [_ZERO] * n
         value = 0           # the objective at x, times unit*D
@@ -306,7 +319,7 @@ def sweep(start: _Tableau, base, step, params) -> list:
                 x[col] = Fraction(row[-1], d)
                 value += (wb * b[col] + ws * s[col]) * row[-1]
         zb, zs = node.rows[-2], node.rows[-1]
-        per_dual = unit * d
+        per_dual = t.denominator * ub * us * d
         duals = [_ZERO] * len(rhs)
         paid = 0            # sum(y_i * rhs_i), times unit*D*rhs_unit
         for i, (col, sign, ge) in enumerate(dual_cols):
@@ -321,37 +334,7 @@ def sweep(start: _Tableau, base, step, params) -> list:
             raise RuntimeError(f"strong duality fails: dual value "
                                f"{Fraction(paid, per_dual * rhs_unit)}, primal value "
                                f"{Fraction(value, per_dual)}")
-        return SimplexResult(Status.OPTIMAL, Fraction(value, per_dual), x, duals)
-
-    results = []
-    for t in ts:
-        # t = p/q: q*us*b + p*ub*s is unit = q*ub*us times base + t*step
-        wb, ws = t.denominator * us, t.numerator * ub
-        unit = t.denominator * ub * us
-        path, node = (), root
-        for _ in range(limit):
-            zb, zs = node.rows[-2], node.rows[-1]
-            for enter in range(first_art):
-                if wb * zb[enter] + ws * zs[enter] < 0:
-                    break
-            else:
-                results.append(optimum(node, wb, ws, unit))
-                break
-            path += (enter,)
-            if path not in tree:
-                leave = node.leaving(enter)
-                if leave >= 0:
-                    tree[path] = node.copy()
-                    tree[path].pivot(leave, enter)
-                else:
-                    tree[path] = None
-            node = tree[path]
-            if node is None:
-                results.append(SimplexResult(Status.UNBOUNDED))
-                break
-        else:
-            # Bland's rule makes this unreachable
-            raise RuntimeError(f"pivot limit of {limit} exceeded: Bland's rule cycled")
+        results.append(SimplexResult(Status.OPTIMAL, Fraction(value, per_dual), x, duals))
     return results
 
 
@@ -359,7 +342,7 @@ def _drive_out_artificials(tb: _Tableau) -> None:
     """After a zero-value phase 1, pivot basic artificials out (or drop the
     row as redundant when its structural part vanished). A dropped row is 0
     in every column a later pivot can enter, so the kept rows and the
-    objective row stay exactly what they would be with it. Its basic
+    pencil rows stay exactly what they would be with it. Its basic
     artificial, whichever input row that belongs to, keeps reduced cost 0,
     so solve() reads a dual of 0 for that input row."""
     r = 0

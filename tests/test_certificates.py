@@ -153,7 +153,8 @@ def test_slope_mismatch_and_positive_residual():
 
 def test_non_rational_multiplier_raises_type_error_naming_it():
     cert = fixture_a()
-    for name, bad in (("omega_lower", 1.0), ("s21_zero", Decimal("-1"))):
+    for name, bad in (("omega_lower", 1.0), ("s21_zero", Decimal("-1")),
+                      ("omega_lower", "1/2"), ("omega_lower", -0.5)):
         tampered = cert._replace(multipliers=dict(cert.multipliers, **{name: bad}))
         with pytest.raises(TypeError, match=f"^{re.escape(f'multiplier {bad!r}')} is not a rational number$"):
             verify_certificate(NO3, tampered)

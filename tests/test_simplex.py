@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import random
 from decimal import Decimal
@@ -154,41 +155,58 @@ def test_start_must_match_the_objective_length():
 def _traced_solve(module, solve_from_rows, rows, relations, rhs, objective):
     """The result of solve_from_rows, phase 1 and 2 over module's tableau,
     and its trace: each pivot (row, column, sign of the pivot entry) in
-    order and the basis at the end of each Bland run."""
+    order and how each Bland walk ends, its status and basis."""
     trace = []
-    pivot, run = module._Tableau.pivot, module._Tableau.run
+    pivot = module._Tableau.pivot
 
-    # each forwards whatever arguments its tableau's method takes: the
-    # oracle's also pass the objective row and return its rhs from run
+    # the oracle's pivot also takes the objective row and its rhs
     def traced_pivot(self, r, c, *rest):
         trace.append(("pivot", r, c, self.rows[r][c] > 0))
         return pivot(self, r, c, *rest)
 
-    def traced_run(self, *args):
-        out = run(self, *args)
-        trace.append((out if isinstance(out, str) else out[0], self.basis[:]))
-        return out
+    if module is simplex:
+        walk = simplex._walk
 
-    with mock.patch.object(module._Tableau, "pivot", traced_pivot), \
-            mock.patch.object(module._Tableau, "run", traced_run):
+        def traced_walk(*args):
+            status, node = walk(*args)
+            trace.append((status.value, node.basis[:]))
+            return status, node
+
+        ends = [mock.patch.object(simplex, "_walk", traced_walk)]
+    else:
+        run, feasible = oracle._Tableau.run, oracle.feasible
+
+        def traced_run(self, *args):
+            out = run(self, *args)
+            trace.append((out[0], self.basis[:]))
+            return out
+
+        def traced_feasible(*args):
+            # the oracle skips phase 1 when no row needs an artificial;
+            # simplex walks it, and stops optimal at the start basis
+            tb = feasible(*args)
+            if tb is not None and not tb.art_col:
+                trace.append(("optimal", tb.basis[:]))
+            return tb
+
+        ends = [mock.patch.object(oracle._Tableau, "run", traced_run),
+                mock.patch.object(oracle, "feasible", traced_feasible)]
+    with contextlib.ExitStack() as stack:
+        for patch in [mock.patch.object(module._Tableau, "pivot", traced_pivot), *ends]:
+            stack.enter_context(patch)
         result = solve_from_rows(rows, relations, rhs, objective)
     return result, trace
 
 
 def _assert_matches_oracle(rows, relations, rhs, objective):
-    """The integer tableau makes the Fraction tableau's pivots and gives its
-    status, value, x, duals and final basis; returns the result and trace."""
+    """The integer tableau makes the Fraction tableau's pivots and ends each
+    phase as it does, and gives its status, value, x, duals and final basis;
+    returns the result and trace."""
     got, got_trace = _traced_solve(simplex, solve_rows, rows, relations, rhs, objective)
     want, want_trace = _traced_solve(oracle, oracle.solve, rows, relations, rhs, objective)
     problem = (rows, relations, rhs, objective)
     assert (got.status, got.value, got.x, got.duals) == \
         (want.status, want.value, want.x, want.duals), problem
-    # simplex walks phase 2 in sweep, without run(), so the oracle's phase-2
-    # run, its last record, is left out; the pivots, which fix the final
-    # basis, are all compared
-    if want.status is not Status.INFEASIBLE:
-        assert want_trace[-1][0] == want.status.value, problem
-        want_trace = want_trace[:-1]
     assert got_trace == want_trace, problem
     return got, got_trace
 
@@ -374,8 +392,8 @@ def _check_invariant_through_both_phases(rows, relations, rhs, objectives):
     start = feasible(rows, relations, rhs)
     if start is None:
         return 0
-    # phase 1 ends at value 0, or priced nothing when no row needed an artificial
-    _assert_tableau_invariant(start, rows, relations, rhs, [(1, [0] * start.n)])
+    # phase 1's pencil, the artificial cost and a zero row, ends at value 0
+    _assert_tableau_invariant(start, rows, relations, rhs, [(1, [0] * start.n)] * 2)
     checked = 0
     pivot = simplex._Tableau.pivot
 
@@ -505,10 +523,13 @@ def test_sweep_is_the_solves_on_beale_and_degenerate_rows():
 _MODEL_SLOPES = sorted({Fraction(k, d) for d in range(1, 49) for k in range(3 * d + 1)})
 
 
-@pytest.mark.parametrize("case, f3_min2", [
-    (Case.THREE_COPRIME, False), (Case.THREE_DIVIDES, False), (Case.THREE_DIVIDES, True)])
-def test_sweep_is_the_solves_on_the_model_systems(case, f3_min2):
-    """Omega - slope*omega over the 2137 slopes k/d in [0, 3], d <= 48."""
+@pytest.mark.parametrize("case, f3_min2, pivots", [
+    (Case.THREE_COPRIME, False, 20), (Case.THREE_DIVIDES, False, 21),
+    (Case.THREE_DIVIDES, True, 22),
+], ids=["Case.THREE_COPRIME-False", "Case.THREE_DIVIDES-False", "Case.THREE_DIVIDES-True"])
+def test_sweep_is_the_solves_on_the_model_systems(case, f3_min2, pivots):
+    """Omega - slope*omega over the 2137 slopes k/d in [0, 3], d <= 48, and
+    the pivots lp.frontier makes for them, phase 1 included."""
     with mock.patch.object(simplex, "feasible", wraps=simplex.feasible) as spy:
         lp._standard_form(build_system(case, f3_min2))
     rows, relations, rhs = spy.call_args.args
@@ -517,6 +538,8 @@ def test_sweep_is_the_solves_on_the_model_systems(case, f3_min2):
     assert len(_MODEL_SLOPES) == 2137
     results = _assert_sweep_is_the_solves(rows, relations, rhs, base, step, _MODEL_SLOPES)
     assert {result.status for result in results} == {Status.OPTIMAL, Status.UNBOUNDED}
+    assert _counted_pivots(lambda: lp.frontier(build_system(case, f3_min2), _MODEL_SLOPES))[1] \
+        == pivots
 
 
 def test_sweep_refuses_what_solve_refuses():

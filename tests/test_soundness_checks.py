@@ -41,10 +41,14 @@ def test_integer_scan_raises_on_an_infeasible_witness(monkeypatch):
 
 
 def test_pivot_limit_raises_runtime_error(monkeypatch):
-    # Bland's rule cannot cycle, so a zero pivot budget stands in for a cycle
+    # Bland's rule cannot cycle, so a zero pivot budget stands in for a
+    # cycle: in phase 1, and in phase 2 from a start made at the real limit
+    start = simplex.feasible([[1, 1]], [simplex.GE], [1])
     monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
     with pytest.raises(RuntimeError, match="pivot limit of 0 exceeded"):
         simplex.solve(simplex.feasible([[1, 1]], [simplex.GE], [1]), [1, 1])
+    with pytest.raises(RuntimeError, match="pivot limit of 0 exceeded"):
+        simplex.solve(start, [2, 1])
 
 
 def test_minimize_raises_naming_the_row_a_witness_breaks(monkeypatch):
