@@ -191,7 +191,7 @@ def cmd_frontier(args) -> int:
 def cmd_lemmas(args) -> int:
     from .lemmas import lemma1_scan, lemma2_scan
     try:
-        found = (lemma1_scan(args.max, jobs=args.jobs) if args.which == "1"
+        found = (lemma1_scan(args.max) if args.which == "1"
                  else lemma2_scan(args.max))
     except ValueError as exc:
         return _error(exc)
@@ -217,7 +217,7 @@ def cmd_lemmas(args) -> int:
 def cmd_census(args) -> int:
     from .lemmas import BUCKETS, CELLS, RESIDUES, bucket_census
     try:
-        counts = bucket_census(args.max, jobs=args.jobs)
+        counts = bucket_census(args.max)
     except ValueError as exc:
         return _error(exc)
     rows = [(bucket, residue, counts[(bucket, residue)]) for bucket, residue in CELLS]
@@ -250,7 +250,7 @@ def cmd_scan(args) -> int:
     from .model import Var
     from .rationals import format_rational
     try:
-        result = integer_scan(_system_from(args), args.slope, args.box, jobs=args.jobs)
+        result = integer_scan(_system_from(args), args.slope, args.box)
     except ValueError as exc:
         return _error(exc)
     if result.minimum is None:
@@ -279,8 +279,7 @@ _SYSTEM = (
                             "(three_divides only; default off)")),
 )
 _JOBS = ("--jobs", dict(type=_positive_int, default=None,
-                        help="worker processes (default: all usable cores); "
-                             "results do not depend on this"))
+                        help="accepted and ignored: the scan runs in this process"))
 _SLOPE = ("--slope", dict(required=True, type=_rational))
 _FORMAT = ("--format", dict(choices=["text", "json"], default="text"))
 _FORMAT_CSV = ("--format", dict(choices=["text", "csv", "json"], default="text"))

@@ -85,12 +85,11 @@ R = u + s21 and Q = t + s21 + s31 + 1 its rows are
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Mapping, NamedTuple
 
 from .model import Case, ConstraintSystem, Var
 from .rationals import as_rational
-from .workers import effective_jobs, run_chunks
+from .workers import run_chunks
 
 # Largest box integer_scan accepts per case. The walk visits about box^4
 # outer points for three_divides and box^2 for three_coprime and solves each
@@ -125,7 +124,10 @@ def _largest_block(box, t, s21, s31, u):
 
 
 def _scan_chunk(args):
-    no3, f3_min2, num, den, box, k, parts = args
+    """The least (key, witness) pair over the box, or None when f3 >= 2
+    leaves the box no feasible point; args are (three_coprime, f3 >= 2,
+    slope numerator, slope denominator, box)."""
+    no3, f3_min2, num, den, box = args
     omega_extra = 1 if no3 else 2
     f3_least = 2 if f3_min2 else 0
     if f3_least > box:
@@ -135,7 +137,7 @@ def _scan_chunk(args):
     pairs = ((t, u) for t in range(0, box // 4 + 1)        # Eq. 14 with f4 <= box
              for u in range(4 * t + 1, 2 * box + 1))        # Eq. 5 and 14
     best = None
-    for t, u in islice(pairs, k, None, parts):
+    for t, u in pairs:
         e, f4 = max(1, u - box), min(u - 1, box)    # the least e of the split u = e + f4
         for s21 in range(0, s_top + 1):
             for s31 in range(0, s_top - s21 + 1):
@@ -158,7 +160,8 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     whose free variables lie in [0, box_max]; ties on the value resolve to
     the lexicographically least witness in declaration order. The slope
     must be a numbers.Rational and box_max an int, else TypeError; a box
-    past MAX_BOX for the system's case raises ValueError before any work."""
+    past MAX_BOX for the system's case raises ValueError before any work.
+    jobs is accepted and ignored: the scan runs in the calling process."""
     slope = as_rational(slope, "slope")
     if not isinstance(box_max, int):
         raise TypeError(f"box_max {box_max!r} is not an int")
@@ -168,13 +171,9 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     if box_max > cap:
         raise ValueError(f"box {box_max} is larger than {cap}, the largest "
                          f"scan box for {system.case.value}")
-    no3 = system.case is Case.THREE_COPRIME
-    quarter = box_max // 4
-    parts = effective_jobs(jobs, 2 * (quarter + 1) * (box_max - quarter))  # (t, u) pairs
-    chunks = [(no3, system.include_f3_min2, slope.numerator, slope.denominator,
-               box_max, k, parts) for k in range(parts)]
-    best = min((found for found in run_chunks(_scan_chunk, chunks, jobs)
-                if found is not None), default=None)
+    [best] = run_chunks(_scan_chunk, [(system.case is Case.THREE_COPRIME,
+                                       system.include_f3_min2, slope.numerator,
+                                       slope.denominator, box_max)])
     if best is None:
         return ScanResult(None, None)
     witness = dict(zip(Var, best[1]))  # witness tuples follow declaration order

@@ -17,16 +17,17 @@ distinct primes q up to the segment's top hi divide n^2+n+1, and the
 largest of them; a q below the segment's length updates each root class
 with slices. Since n^2+n+1 < (hi+1)^2, what none of those q divides is 1
 or one prime, so each prime n finishes exactly with at most a few
-divisions; _census_chunk lists the cases. Lemma 1's workers return plain
-(a, b, q, k) tuples, which run_chunks sends by marshal; lemma1_scan builds
-the Lemma1Violation records and loads fractions only when there is one.
+divisions; _census_chunk lists the cases. Lemma 1's walk returns plain
+(a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation records and
+loads fractions only when there is one.
 
-The census and lemma 1 each sieve their range [3, max] once, in the calling
-process, through one helper, _root_table: one odd_prime_flags array gives
-the primes q they walk and one pass finds a root of x^2+x+1 modulo each q,
-and every census segment and lemma 1 worker reads those same arrays, which
-forked workers inherit. Lemma 1 needs no q past max, because a shared prime
-of a same-residue pair is below it (see _lemma1_chunk). Their largest
+Every scan runs in the calling process; the jobs argument of bucket_census
+and lemma1_scan is accepted and ignored. The census and lemma 1 each sieve
+their range [3, max] once, through one helper, _root_table: one
+odd_prime_flags array gives the primes q they walk and one pass finds a
+root of x^2+x+1 modulo each q, and every census segment and the lemma 1
+walk read those same arrays. Lemma 1 needs no q past max, because a shared
+prime of a same-residue pair is below it (see _lemma1_chunk). Their largest
 ranges are MAX_CENSUS and MAX_LEMMA1; a larger one raises ValueError before
 any sieving. Lemma 2's largest p is MAX_LEMMA2; a larger one raises
 ValueError before the walk. A max that is not an int raises TypeError before
@@ -40,13 +41,13 @@ from math import gcd
 from typing import NamedTuple
 
 from .primes import PSI_13, factorize, is_prime, odd_prime_flags
-from .workers import effective_jobs, run_chunks
+from .workers import run_chunks
 
 BUCKETS = ("S1", "S2", "S3plus")
 RESIDUES = (1, 2)
 CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 
-# odd n per sieve segment; bounds the arrays one worker holds
+# odd n per sieve segment; bounds the arrays one segment holds
 _SEGMENT = 1 << 18
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table of b + 1, held at 255
 
@@ -152,16 +153,15 @@ def _root_table(limit: int) -> tuple:
     return flags, qs, array("L", map(_root, qs))
 
 
-def _segments(limit: int, jobs: int | None) -> list:
+def _segments(limit: int) -> list:
     """Sieve segments (lo, size, flags, qs, ws) of the odd n = lo + 2j,
-    j < size, in [5, limit]: one per job at least, none longer than
-    _SEGMENT. flags, qs and ws are _root_table(limit), shared by every
-    segment."""
+    j < size, in [5, limit], as few as keep each within _SEGMENT. flags, qs
+    and ws are _root_table(limit), shared by every segment."""
     total = (limit - 3) // 2
     if total <= 0:
         return []
     flags, qs, ws = _root_table(limit)
-    parts = max(effective_jobs(jobs, total), -(-total // _SEGMENT))
+    parts = -(-total // _SEGMENT)
     edges = [total * k // parts for k in range(parts + 1)]
     return [(5 + 2 * a, b - a, flags, qs, ws) for a, b in zip(edges, edges[1:])]
 
@@ -233,13 +233,13 @@ def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     """Counts of odd primes 3 < p <= max_prime per (bucket, residue) cell;
     all six cells are present, empty ones as zero. A max_prime that is not
     an int raises TypeError, and one past MAX_CENSUS ValueError, before any
-    sieving."""
+    sieving. jobs is accepted and ignored."""
     if not isinstance(max_prime, int):
         raise TypeError(f"max {max_prime!r} is not an int")
     if max_prime > MAX_CENSUS:
         raise ValueError(f"max {max_prime} is larger than {MAX_CENSUS}, "
                          f"the largest census max")
-    parts = run_chunks(_census_chunk, _segments(max_prime, jobs), jobs)
+    parts = run_chunks(_census_chunk, _segments(max_prime))
     return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
 
 
@@ -253,9 +253,9 @@ class Lemma1Violation(NamedTuple):
 def _lemma1_chunk(args) -> list:
     """Lemma 1 violations (a, b, q, k), with k_of the bound's k per residue
     and k the one of a's residue, among the primes 3 < a < b <= max_prime
-    whose shared prime is one of qs, a stride of the primes up to max_prime
-    that are 3 or 1 (mod 3), and ws the matching stride of roots of x^2+x+1
-    (1 for q = 3); flags are odd_prime_flags of at least max_prime.
+    whose shared prime is one of qs, primes up to max_prime that are 3 or
+    1 (mod 3), and ws the matching roots of x^2+x+1 (1 for q = 3); flags
+    are odd_prime_flags of at least max_prime.
 
     Every prime factor of n^2+n+1 is 3 or 1 (mod 3). For a prime
     q | a^2+a+1, (b^2+b+1) - (a^2+a+1) = (b-a)(a+b+1) shows that
@@ -270,7 +270,7 @@ def _lemma1_chunk(args) -> list:
     r = 1, 3 | m, so m >= 3; for r = 2, m = 2 (mod 3) and odd, so m >= 5.
     Both k are sharp: a+b+1 = 3q at (37, 163, 67) and 5q at (5, 149, 31).
     The scan checks this proof; it needs only that every shared q is at
-    most (a+b+1)/3 < max_prime, so qs over all strides hold it.
+    most (a+b+1)/3 < max_prime, so the qs up to max_prime hold it.
 
     q | n^2+n+1 exactly when n = w or q-1-w (mod q), the same class
     when q = 3. If a is one root, -1-a is the other, so a and b lie in the
@@ -299,7 +299,7 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
     bound. Returns violations sorted by (a, b, p); the expectation is none.
     A max_prime that is not an int raises TypeError, and one past MAX_LEMMA1
-    ValueError, before any sieving."""
+    ValueError, before any sieving. jobs is accepted and ignored."""
     if not isinstance(max_prime, int):
         raise TypeError(f"max {max_prime!r} is not an int")
     if max_prime > MAX_LEMMA1:
@@ -307,10 +307,8 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
                          f"the largest lemma 1 max")
     flags, qs, ws = _root_table(max_prime)
     qs, ws = array("L", [3]) + qs, array("L", [1]) + ws  # q = 3 has the one root w = 1
-    parts = effective_jobs(jobs, len(qs))
-    chunks = [(max_prime, _LEMMA1_K, flags, qs[k::parts], ws[k::parts])
-              for k in range(parts)]
-    found = sorted(v for part in run_chunks(_lemma1_chunk, chunks, jobs) for v in part)
+    [found] = run_chunks(_lemma1_chunk, [(max_prime, _LEMMA1_K, flags, qs, ws)])
+    found.sort()
     if not found:
         return []
     from fractions import Fraction  # only for a violation; no scan has found one
@@ -367,9 +365,8 @@ def lemma2_scan(max_p: int) -> list:
     """All positive integer solutions of p^2+p+1 = r, q^2+q+1 = 3r with
     p <= max_p, sorted by p. The supporting lemma says no solution has p an
     odd prime; solutions that do exist (like p = 2) are incidental. The
-    walk takes O(log max_p) steps in one process. A max_p that is not an
-    int raises TypeError, and one past MAX_LEMMA2 ValueError, before the
-    walk."""
+    walk takes O(log max_p) steps. A max_p that is not an int raises
+    TypeError, and one past MAX_LEMMA2 ValueError, before the walk."""
     if not isinstance(max_p, int):
         raise TypeError(f"max {max_p!r} is not an int")
     if max_p > MAX_LEMMA2:

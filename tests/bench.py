@@ -4,7 +4,8 @@
 
 SRC is a src/ directory holding an opnbounds package. The entry holds the
 label, the commit of SRC's checkout (`git describe --always --dirty`, null
-outside git), the usable cores and the Python version, and two parts:
+outside git), the usable cores (the CPU affinity set where the platform
+reports one, else the core count) and the Python version, and two parts:
 
 - processes: per command of time_processes.commands(), the median wall
   seconds and the median child CPU seconds of REPS `python -m opnbounds`
@@ -23,6 +24,7 @@ Like time_processes.py, pytest does not collect this file.
 import argparse
 import importlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -59,9 +61,17 @@ def process_medians(src: Path, reps: int) -> tuple:
     return walls, cpus
 
 
-def traced_pass(src: Path) -> tuple:
-    """(usable cores, {function: {calls, s, self_s}}) of the in-process pass,
-    with opnbounds imported from src."""
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity set where the
+    platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def traced_pass(src: Path) -> dict:
+    """{function: {calls, s, self_s}} of the in-process pass, with opnbounds
+    imported from src."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import tracing
     modules = {layer: importlib.import_module(f"opnbounds.{layer}") for layer in tracing.LAYERS}
@@ -100,7 +110,7 @@ def traced_pass(src: Path) -> tuple:
         for name in names:
             entry = summary.get(f"{layer}.{name}", {"calls": 0, "s": 0.0, "self_s": 0.0})
             functions[f"{layer}.{name}"] = {key: entry[key] for key in ("calls", "s", "self_s")}
-    return modules["workers"].usable_cores(), functions
+    return functions
 
 
 def main() -> None:
@@ -116,8 +126,8 @@ def main() -> None:
     if args.reps < 1:
         sys.exit("error: --reps must be at least 1")
     walls, cpus = process_medians(src, args.reps)
-    cores, functions = traced_pass(src)
-    entry = {"label": args.label, "commit": commit(src), "usable_cores": cores,
+    functions = traced_pass(src)
+    entry = {"label": args.label, "commit": commit(src), "usable_cores": usable_cores(),
              "python": platform.python_version(), "reps": args.reps,
              "processes_median_s": walls, "processes_median_cpu_s": cpus,
              "functions": functions}

@@ -613,7 +613,7 @@ def test_usage_output_matches_the_full_parser(capsys, argv):
 
 # sha256 of main's exit code, stdout and stderr for each USAGE_CORPUS line
 # at COLUMNS=80, recorded under CPython 3.11.7
-USAGE_DIGEST = "9c6831d8a529e06dcd9cc5ce4e323e1df8d04e4099d6b99ae5d818251737f9dd"
+USAGE_DIGEST = "5ce6dc6acc009279be24d108e2e98b39070b2b9e2cf60b94adbf48ea9b0c3543"
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -816,7 +816,7 @@ def test_optimize_out_frozen(capsys, tmp_path):
 def test_lemma_rows_frozen(capsys, monkeypatch):
     """The row layout of lemma 1 violations and odd-prime lemma 2
     solutions, which no real scan produces."""
-    monkeypatch.setattr(lemmas, "lemma1_scan", lambda limit, jobs: [
+    monkeypatch.setattr(lemmas, "lemma1_scan", lambda limit: [
         Lemma1Violation(5, 11, 7, Fraction(17, 5)), Lemma1Violation(7, 13, 3, Fraction(7))])
     base = ["lemmas", "--which", "1", "--max", "20"]
     assert run(capsys, *base) == (
@@ -846,7 +846,7 @@ _SYSTEM = ((["--system"], "system", None, ["three_coprime", "three_divides"], No
            (["--f3-min2"], "f3_min2", None, ["on", "off"], "off", False,
             "include the extra constraint f3 >= 2 (three_divides only; default off)"))
 _JOBS = (["--jobs"], "jobs", "_positive_int", None, None, False,
-         "worker processes (default: all usable cores); results do not depend on this")
+         "accepted and ignored: the scan runs in this process")
 _HELP = (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
          "show this help message and exit")
 

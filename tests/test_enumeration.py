@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnbounds import enumeration, workers
+from opnbounds import enumeration
 from opnbounds.enumeration import ScanResult, integer_scan, is_feasible
 from opnbounds.lp import best_constant
 from opnbounds.model import Case, Relation, Var, build_system
@@ -179,8 +179,7 @@ def test_scan_equals_pruned_loop_oracle(system, slope):
             (system.case, system.include_f3_min2, slope, box)
 
 
-def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
+def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes():
     want = bruteforce_scan(WITH3, Fraction(21, 8), 9)
     assert want.minimum == Fraction(-39, 8)
     assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=1) == want
@@ -295,13 +294,11 @@ def test_scan_rejects_inputs_of_the_wrong_type(monkeypatch):
             integer_scan(WITH3, Fraction(21, 8), box)
 
 
-def test_jobs_do_not_change_results(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
+def test_jobs_do_not_change_results():
     lone = integer_scan(NO3, Fraction(8, 3), 3, jobs=1)
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=3) == lone
     assert integer_scan(NO3, Fraction(8, 3), 3, jobs=None) == lone
-    # the chunks stride over the (t, e + f4) pairs; box 0 has none, box 1
-    # has fewer than three
+    # box 0 has no (t, e + f4) pair, box 1 fewer than three
     for system in (WITH3, WITH3_SHARP):
         for box in (0, 1, 2, 5):
             lone = integer_scan(system, Fraction(21, 8), box, jobs=1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from opnbounds import cli, workers
+from opnbounds import cli
 
 SRC = Path(cli.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -101,15 +101,6 @@ def test_stdout_closed_at_start_exits_0():
     nothing; run's final flush must not fail on it."""
     proc = _process(DESCRIBE, stdout=None, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (0, b"")
-
-
-def test_fork_error_is_no_output_error(monkeypatch):
-    def no_fork():
-        raise OSError(11, "Resource temporarily unavailable")
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(OSError, match="Resource temporarily unavailable"):
-        cli.run(["census", "--max", "1000", "--jobs", "2"])
 
 
 def test_run_freezes_the_heap(capsys):

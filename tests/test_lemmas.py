@@ -10,7 +10,7 @@ import pytest
 
 from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
                            brute_shared_triples)
-from opnbounds import lemmas, primes, workers
+from opnbounds import lemmas, primes
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
                               lemma2_violations, shared_primes)
@@ -169,12 +169,11 @@ def test_lemma2_scan_small():
 
 
 def test_lemma2_scan_worker_independent(monkeypatch):
-    # the Pell walk runs in the calling process: it asks for no job count
-    # and starts no pool, so no worker setting can change its answer
+    # the Pell walk takes no job count and maps no chunks, so no worker
+    # setting can change its answer
     def no_pool(*args):
         raise AssertionError("lemma 2 used the worker pool")
 
-    monkeypatch.setattr(lemmas, "effective_jobs", no_pool)
     monkeypatch.setattr(lemmas, "run_chunks", no_pool)
     assert lemma2_scan(20000) == brute_lemma2(20000)
     assert lemma2_scan(0) == []
@@ -221,8 +220,7 @@ def test_census_empty_below_first_prime():
     assert sum(empty.values()) == 0
 
 
-def test_census_worker_independent(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
+def test_census_worker_independent():
     assert bucket_census(500, jobs=3) == bucket_census(500, jobs=1)
 
 
@@ -240,8 +238,7 @@ def test_census_matches_pinned_reference_at_20000():
 
 
 def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
-    # short segments put several boundaries, and several per worker, in range
+    # short segments put several boundaries in range
     monkeypatch.setattr(lemmas, "_SEGMENT", 777)
     want = brute_census(20000)
     for jobs in (1, 2, 3):
@@ -379,7 +376,6 @@ def test_scan_max_that_is_not_an_int_raises_before_the_cap_and_sieving(monkeypat
 
 
 def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 3)  # jobs=3 splits three ways
     # with k = 10^9 every shared prime breaks the bound, so the walk must
     # report each same-residue triple (a, b, q) of the all-pairs gcd, once,
     # q = 3 included

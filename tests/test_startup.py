@@ -1,28 +1,23 @@
 """A CLI process imports only the package modules its subcommand runs, and
-no pool, pickle, json, csv or dataclasses module: a scan forks its workers
-only when it fans out to more than one, with at most one per usable core,
-and the output modules load only for the format that needs them. A plain
-command line is read without argparse, so neither it nor gettext and locale
-load; help and usage errors load them. Every child a fan-out forks is
-reaped before run_chunks returns or raises."""
+no pool, pickle, json, csv or dataclasses module: every scan runs in the
+calling process at any --jobs, and the output modules load only for the
+format that needs them. A plain command line is read without argparse, so
+neither it nor gettext and locale load; help and usage errors load them."""
 import ast
 import importlib
 import os
-import signal
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opnbounds
-from opnbounds import workers
 from opnbounds.enumeration import integer_scan
 from opnbounds.lemmas import bucket_census, classify_prime, lemma1_scan
 from opnbounds.model import Case, build_system
-from opnbounds.workers import effective_jobs, run_chunks
+from opnbounds.workers import run_chunks
 
 SRC = Path(opnbounds.__file__).resolve().parents[1]
 # the parser's modules, which only a line that is not plain loads
@@ -118,8 +113,8 @@ def test_a_line_that_is_not_plain_loads_the_parser(argv, code, stream, text):
     ("lemmas", "--which", "1", "--max", "2000", "--jobs", "2"),
 ], ids=lambda argv: argv[0])
 def test_fanned_out_scans_load_neither_pickle_nor_fractions(argv):
-    # the worker's result comes back by marshal, lemma 1 builds its
-    # Fraction bounds only for a violation, and the line is plain
+    # lemma 1 builds its Fraction bounds only for a violation, and the line
+    # is plain
     assert _loaded(*argv) & {"pickle", "fractions", *_PARSER} == set()
 
 
@@ -147,60 +142,23 @@ def test_every_exported_name_is_its_modules_object():
         opnbounds.no_such_name
 
 
-def test_run_chunks_pool_returns_the_serial_list(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)  # a fork even on one core
+def test_run_chunks_pool_returns_the_serial_list():
     primes = [5, 7, 11, 13, 17, 19, 23]
-
-    def classified(p):  # a plain tuple, which marshal sends
-        return tuple(classify_prime(p))
-
-    assert run_chunks(classified, primes, 2) == run_chunks(classified, primes, 1)
+    assert run_chunks(classify_prime, primes, 2) == run_chunks(classify_prime, primes, 1)
     _no_child_left()
 
 
-def test_a_result_marshal_refuses_raises_in_the_caller(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-    # a PrimeClass is a named tuple, which marshal does not write
-    with pytest.raises(ValueError, match="^unmarshallable object$"):
-        run_chunks(classify_prime, [5, 7], 2)
-    _no_child_left()
+def test_no_scan_forks(monkeypatch):
+    """At any --jobs the census, lemma 1 and the integer scan give their
+    jobs=1 result without forking."""
+    def no_fork():
+        raise AssertionError("a scan forked")
 
-
-def test_pool_is_never_larger_than_the_cores(monkeypatch):
-    """A --jobs past the core count forks one worker per core but the
-    caller's own: on two cores, one child per scan."""
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert bucket_census(5000, jobs=64) == bucket_census(5000, jobs=1)
-    assert len(forks) == 1
     assert lemma1_scan(600, jobs=64) == lemma1_scan(600, jobs=1)
-    assert len(forks) == 2
     no3 = build_system(Case.THREE_COPRIME)
     assert integer_scan(no3, Fraction(8, 3), 4, jobs=64) == integer_scan(no3, Fraction(8, 3), 4)
-    assert len(forks) == 3
-    _no_child_left()
-
-
-def test_jobs_are_capped_at_the_affinity_set(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert (effective_jobs(None, 10), effective_jobs(2, 10)) == (1, 1)
-    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without one
-    assert (effective_jobs(None, 10), effective_jobs(2, 10), effective_jobs(2, 1)) == (2, 2, 1)
-
-
-def test_without_fork_the_chunks_run_serially(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    pids = run_chunks(lambda chunk: os.getpid(), [0, 1, 2], 2)
-    assert pids == [os.getpid()] * 3
 
 
 def _bad_chunk(chunk):
@@ -209,64 +167,16 @@ def _bad_chunk(chunk):
     return chunk
 
 
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-    # chunk 1 is the child's share
+def test_worker_exception_reaches_the_caller():
     with pytest.raises(ValueError, match=r"^chunk 1 is bad$"):
         run_chunks(_bad_chunk, [0, 1, 2, 3], 2)
-    _no_child_left()
-
-    class Unpicklable(Exception):  # a local class does not pickle
-        pass
-
-    def raise_local(chunk):
-        if chunk == 1:
-            raise Unpicklable("mine")
-        return chunk
-
-    with pytest.raises(RuntimeError, match=r"^Unpicklable: mine$"):
-        run_chunks(raise_local, [0, 1], 2)
-    _no_child_left()
-
-
-def test_killed_worker_raises_runtime_error(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-
-    def die(chunk):
-        if chunk == 1:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return chunk
-
-    with pytest.raises(RuntimeError, match=r"ended without sending its result "
-                                           r"\(exit status -9\)"):
-        run_chunks(die, [0, 1], 2)
-    _no_child_left()
-
-
-def test_error_in_the_callers_share_kills_the_workers(monkeypatch):
-    """An interrupt during the caller's own share does not wait for the
-    children: they are killed and reaped before it propagates."""
-    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-
-    def interrupted(chunk):
-        if chunk == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-        return chunk
-
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run_chunks(interrupted, [0, 1], 2)
-    assert time.monotonic() - start < 30
-    _no_child_left()
 
 
 @pytest.mark.parametrize("argv", [("census", "--max", "20000"),
                                   ("lemmas", "--which", "1", "--max", "2000")])
 def test_fan_out_exits_cleanly_under_dev_mode(argv):
-    """-X dev -W error turns an unclosed pipe (ResourceWarning) into an
-    error, and a child that flushed the parent's stdout buffer would print
-    the output twice."""
+    """-X dev -W error turns any ResourceWarning into an error, and --jobs 2
+    prints what --jobs 1 does."""
     serial = _python("-m", "opnbounds", *argv, "--jobs", "1")
     forked = _python("-X", "dev", "-W", "error", "-m", "opnbounds", *argv, "--jobs", "2")
     assert (forked.returncode, forked.stderr) == (0, "")

@@ -16,8 +16,7 @@ first alternates.
 One unrecorded warm-up run per command and tree writes the bytecode caches
 first. Prints per command the median wall time under each tree, the
 difference and in how many reps NEW_SRC was faster, then the same for the
-child's CPU time: user plus system from os.wait4, which counts the worker
-processes it reaped. A command that exits non-zero stops the run.
+child's CPU time: user plus system from os.wait4. A command that exits non-zero stops the run.
 """
 import argparse
 import os
@@ -64,7 +63,7 @@ def commands(work: Path) -> list:
 def timed(src: Path, argv: list, work: Path, launch=MODULE) -> tuple:
     """(wall seconds, CPU seconds) of one `python -m opnbounds argv` process
     under src, or of `python argv` for launch=(); the CPU is the child's
-    user plus system time, with the workers it reaped."""
+    user plus system time."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     start = perf_counter()
