@@ -169,10 +169,10 @@ def test_lemma2_scan_small():
 
 
 def test_lemma2_scan_worker_independent(monkeypatch):
-    # the Pell walk takes no job count and maps no chunks, so no worker
+    # the Pell walk takes no job count and maps no chunks, so no jobs
     # setting can change its answer
     def no_pool(*args):
-        raise AssertionError("lemma 2 used the worker pool")
+        raise AssertionError("lemma 2 mapped chunks")
 
     monkeypatch.setattr(lemmas, "run_chunks", no_pool)
     assert lemma2_scan(20000) == brute_lemma2(20000)

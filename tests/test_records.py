@@ -1,7 +1,6 @@
 """The result records are immutable named tuples: each survives a pickle
 round trip, and a variant is derived with _replace, never by assigning to
-a field. Pool workers send no records: they send plain tuples by marshal,
-and the caller builds the records."""
+a field."""
 import pickle
 from fractions import Fraction
 

@@ -178,7 +178,7 @@ def test_fan_out_exits_cleanly_under_dev_mode(argv):
     """-X dev -W error turns any ResourceWarning into an error, and --jobs 2
     prints what --jobs 1 does."""
     serial = _python("-m", "opnbounds", *argv, "--jobs", "1")
-    forked = _python("-X", "dev", "-W", "error", "-m", "opnbounds", *argv, "--jobs", "2")
-    assert (forked.returncode, forked.stderr) == (0, "")
-    assert forked.stdout == serial.stdout
+    two = _python("-X", "dev", "-W", "error", "-m", "opnbounds", *argv, "--jobs", "2")
+    assert (two.returncode, two.stderr) == (0, "")
+    assert two.stdout == serial.stdout
     assert serial.returncode == 0 and serial.stdout
