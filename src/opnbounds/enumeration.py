@@ -89,12 +89,11 @@ from typing import Mapping, NamedTuple
 
 from .model import Case, ConstraintSystem, Var
 from .rationals import as_rational
-from .workers import run_chunks
 
 # Largest box integer_scan accepts per case. The walk visits about box^4
 # outer points for three_divides and box^2 for three_coprime and solves each
 # block in O(1), so the time grows like box^4 and box^2; at these caps a scan
-# takes about 6-8 s (2-core host, CPython 3.11.7, jobs 1) at the slowest
+# takes about 6-8 s (2-core host, CPython 3.11.7) at the slowest
 # slopes, past 2.
 MAX_BOX = {Case.THREE_COPRIME: 2000, Case.THREE_DIVIDES: 60}
 
@@ -123,11 +122,10 @@ def _largest_block(box, t, s21, s31, u):
     return s1, s22, total - s1 - s22
 
 
-def _scan_chunk(args):
+def _scan_chunk(no3, f3_min2, num, den, box):
     """The least (key, witness) pair over the box, or None when f3 >= 2
-    leaves the box no feasible point; args are (three_coprime, f3 >= 2,
-    slope numerator, slope denominator, box)."""
-    no3, f3_min2, num, den, box = args
+    leaves the box no feasible point; no3 is three_coprime, f3_min2 whether
+    f3 >= 2 holds, num/den the slope in lowest terms."""
     omega_extra = 1 if no3 else 2
     f3_least = 2 if f3_min2 else 0
     if f3_least > box:
@@ -154,14 +152,12 @@ def _scan_chunk(args):
     return best
 
 
-def integer_scan(system: ConstraintSystem, slope, box_max: int,
-                 jobs: int | None = 1) -> ScanResult:
+def integer_scan(system: ConstraintSystem, slope, box_max: int) -> ScanResult:
     """Exact minimum of Omega - slope*omega over feasible integer points
     whose free variables lie in [0, box_max]; ties on the value resolve to
     the lexicographically least witness in declaration order. The slope
     must be a numbers.Rational and box_max an int, else TypeError; a box
-    past MAX_BOX for the system's case raises ValueError before any work.
-    jobs is accepted and ignored: the scan runs in the calling process."""
+    past MAX_BOX for the system's case raises ValueError before any work."""
     slope = as_rational(slope, "slope")
     if not isinstance(box_max, int):
         raise TypeError(f"box_max {box_max!r} is not an int")
@@ -171,9 +167,8 @@ def integer_scan(system: ConstraintSystem, slope, box_max: int,
     if box_max > cap:
         raise ValueError(f"box {box_max} is larger than {cap}, the largest "
                          f"scan box for {system.case.value}")
-    [best] = run_chunks(_scan_chunk, [(system.case is Case.THREE_COPRIME,
-                                       system.include_f3_min2, slope.numerator,
-                                       slope.denominator, box_max)])
+    best = _scan_chunk(system.case is Case.THREE_COPRIME, system.include_f3_min2,
+                       slope.numerator, slope.denominator, box_max)
     if best is None:
         return ScanResult(None, None)
     witness = dict(zip(Var, best[1]))  # witness tuples follow declaration order

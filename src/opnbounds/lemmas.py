@@ -21,17 +21,18 @@ divisions; _census_chunk lists the cases. Lemma 1's walk returns plain
 (a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation records and
 loads fractions only when there is one.
 
-Every scan runs in the calling process; the jobs argument of bucket_census
-and lemma1_scan is accepted and ignored. The census and lemma 1 each sieve
-their range [3, max] once, through one helper, _root_table: one
-odd_prime_flags array gives the primes q they walk and one pass finds a
-root of x^2+x+1 modulo each q, and every census segment and the lemma 1
-walk read those same arrays. Lemma 1 needs no q past max, because a shared
-prime of a same-residue pair is below it (see _lemma1_chunk). Their largest
-ranges are MAX_CENSUS and MAX_LEMMA1; a larger one raises ValueError before
-any sieving. Lemma 2's largest p is MAX_LEMMA2; a larger one raises
-ValueError before the walk. A max that is not an int raises TypeError before
-either check.
+Every scan runs in the calling process and calls its chunk function
+directly; bucket_census accepts a jobs argument and ignores it. The census
+and lemma 1 each sieve their range [3, max] once, through one helper,
+_root_table: one odd_prime_flags array gives the primes q they walk and one
+pass finds a root of x^2+x+1 modulo each q. bucket_census builds that
+table once and hands it to _census_chunk for each (lo, size) segment, and
+lemma1_scan hands it to _lemma1_chunk. Lemma 1 needs no q past max,
+because a shared prime of a same-residue pair is below it (see
+_lemma1_chunk). Their largest ranges are MAX_CENSUS and MAX_LEMMA1; a
+larger one raises ValueError before any sieving. Lemma 2's largest p is
+MAX_LEMMA2; a larger one raises ValueError before the walk. A max that is
+not an int raises TypeError before either check.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .primes import PSI_13, factorize, is_prime, odd_prime_flags
-from .workers import run_chunks
 
 BUCKETS = ("S1", "S2", "S3plus")
 RESIDUES = (1, 2)
@@ -53,7 +53,7 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table of b + 1, held at 
 
 # the largest max of each range scan, for the time budget of MAX_BOX: at
 # these the census took 4.6-5.3 s and lemma 1 1.9-2.7 s (2-core host,
-# CPython 3.11.7, jobs 1). MAX_CENSUS also keeps every q within the
+# CPython 3.11.7). MAX_CENSUS also keeps every q within the
 # array("L") of _census_chunk, which is 32 bits wide on some platforms.
 MAX_CENSUS = 8 * 10**6
 MAX_LEMMA1 = 10**7
@@ -154,21 +154,20 @@ def _root_table(limit: int) -> tuple:
 
 
 def _segments(limit: int) -> list:
-    """Sieve segments (lo, size, flags, qs, ws) of the odd n = lo + 2j,
-    j < size, in [5, limit], as few as keep each within _SEGMENT. flags, qs
-    and ws are _root_table(limit), shared by every segment."""
+    """Sieve segments (lo, size) of the odd n = lo + 2j, j < size, in
+    [5, limit], as few as keep each within _SEGMENT."""
     total = (limit - 3) // 2
     if total <= 0:
         return []
-    flags, qs, ws = _root_table(limit)
     parts = -(-total // _SEGMENT)
     edges = [total * k // parts for k in range(parts + 1)]
-    return [(5 + 2 * a, b - a, flags, qs, ws) for a, b in zip(edges, edges[1:])]
+    return [(5 + 2 * a, b - a) for a, b in zip(edges, edges[1:])]
 
 
-def _census_chunk(segment) -> list:
-    """Polynomial sieve of n^2+n+1 over the primes n of one segment: their
-    counts per cell in CELLS order.
+def _census_chunk(lo, size, all_flags, qs, ws) -> list:
+    """Polynomial sieve of n^2+n+1 over the primes n of one segment (lo,
+    size): their counts per cell in CELLS order. all_flags, qs and ws are
+    _root_table of at least the segment's top, shared by every segment.
 
     3 divides f = n^2+n+1 exactly when n = 1 (mod 3), 9 never; write t for
     that 0 or 1. Any other prime factor q is 1 (mod 3) and divides f
@@ -189,7 +188,6 @@ def _census_chunk(segment) -> list:
       r <= hi and the flags say r is prime, r = q' and Omega = e + 1. Else
       r is not prime (a prime r would be q' <= hi), so Omega >= e + 2 >= 3.
     """
-    lo, size, all_flags, qs, ws = segment
     hi = lo + 2 * size - 2
     start = (lo - 3) >> 1
     flags = all_flags[start:start + size]  # flags[j]: lo + 2j is prime
@@ -239,7 +237,8 @@ def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     if max_prime > MAX_CENSUS:
         raise ValueError(f"max {max_prime} is larger than {MAX_CENSUS}, "
                          f"the largest census max")
-    parts = run_chunks(_census_chunk, _segments(max_prime))
+    flags, qs, ws = _root_table(max_prime)
+    parts = [_census_chunk(lo, size, flags, qs, ws) for lo, size in _segments(max_prime)]
     return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
 
 
@@ -250,7 +249,7 @@ class Lemma1Violation(NamedTuple):
     bound: Fraction
 
 
-def _lemma1_chunk(args) -> list:
+def _lemma1_chunk(max_prime, k_of, flags, qs, ws) -> list:
     """Lemma 1 violations (a, b, q, k), with k_of the bound's k per residue
     and k the one of a's residue, among the primes 3 < a < b <= max_prime
     whose shared prime is one of qs, primes up to max_prime that are 3 or
@@ -279,7 +278,6 @@ def _lemma1_chunk(args) -> list:
     for lemma 1, where each class has at most 3 odd values. Each pair of
     primes among them with equal residues and a+b+1 < k*q is a violation,
     with bound (a+b+1)/k."""
-    max_prime, k_of, flags, qs, ws = args
     k_top = max(k_of.values())
     out = []
     for q, w in zip(qs, ws):
@@ -294,12 +292,12 @@ def _lemma1_chunk(args) -> list:
     return out
 
 
-def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
+def lemma1_scan(max_prime: int) -> list:
     """Check every same-residue pair of odd primes 3 < a < b <= max_prime:
     each prime dividing both a^2+a+1 and b^2+b+1 must respect the residue
     bound. Returns violations sorted by (a, b, p); the expectation is none.
     A max_prime that is not an int raises TypeError, and one past MAX_LEMMA1
-    ValueError, before any sieving. jobs is accepted and ignored."""
+    ValueError, before any sieving."""
     if not isinstance(max_prime, int):
         raise TypeError(f"max {max_prime!r} is not an int")
     if max_prime > MAX_LEMMA1:
@@ -307,8 +305,7 @@ def lemma1_scan(max_prime: int, jobs: int | None = 1) -> list:
                          f"the largest lemma 1 max")
     flags, qs, ws = _root_table(max_prime)
     qs, ws = array("L", [3]) + qs, array("L", [1]) + ws  # q = 3 has the one root w = 1
-    [found] = run_chunks(_lemma1_chunk, [(max_prime, _LEMMA1_K, flags, qs, ws)])
-    found.sort()
+    found = sorted(_lemma1_chunk(max_prime, _LEMMA1_K, flags, qs, ws))
     if not found:
         return []
     from fractions import Fraction  # only for a violation; no scan has found one

@@ -1,8 +1,9 @@
-"""The one map the scans run their chunks through.
+"""A serial map over chunks, kept for the benchmark's tracer.
 
-A scan splits its input into chunks, maps a pure function over them in this
-process and merges the results in chunk order. A test can replace run_chunks
-to show that a scan refuses its input before doing any work.
+No scan in this package calls it: each scan calls its chunk function
+directly. Only perfbench/tracing.py still imports run_chunks, to time it
+beside the scans; the benchmark change that retires that probe removes
+this module too.
 """
 from __future__ import annotations
 

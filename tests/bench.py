@@ -11,7 +11,7 @@ reports one, else the core count) and the Python version, and two parts:
   seconds and the median child CPU seconds of REPS `python -m opnbounds`
   processes under SRC, run through time_processes.timed after one
   unrecorded warm-up run;
-- functions: one in-process pass at jobs 1, traced by perfbench/tracing.py's
+- functions: one in-process pass, traced by perfbench/tracing.py's
   Tracer, which records calls, seconds and self seconds for every function
   in its TARGETS. The pass runs frontier on both systems over the 2137
   slopes k/d in [0, 3] with d <= 48, bucket_census(4*10^6),
@@ -85,11 +85,11 @@ def traced_pass(src: Path) -> dict:
     steps = [
         lambda: lp.frontier(coprime, SLOPES),
         lambda: lp.frontier(divides, SLOPES),
-        lambda: lemmas.bucket_census(4 * 10**6, jobs=1),
-        lambda: lemmas.lemma1_scan(10**6, jobs=1),
+        lambda: lemmas.bucket_census(4 * 10**6),
+        lambda: lemmas.lemma1_scan(10**6),
         lambda: lemmas.lemma2_scan(4 * 10**6),
-        lambda: modules["enumeration"].integer_scan(coprime, Fraction(8, 3), 40, jobs=1),
-        lambda: modules["enumeration"].integer_scan(divides, Fraction(21, 8), 9, jobs=1),
+        lambda: modules["enumeration"].integer_scan(coprime, Fraction(8, 3), 40),
+        lambda: modules["enumeration"].integer_scan(divides, Fraction(21, 8), 9),
         lambda: lemmas.classify_prime(999999937),
         lambda: modules["primes"].sieve(4 * 10**6),
     ]

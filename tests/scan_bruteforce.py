@@ -78,7 +78,7 @@ def _scan_chunk(args):
 
 
 def bruteforce_scan(system, slope, box_max):
-    """integer_scan at jobs=1 by visiting every feasible point of the box."""
+    """integer_scan by visiting every feasible point of the box."""
     slope = Fraction(slope)
     best = _scan_chunk((system.case is Case.THREE_COPRIME, system.include_f3_min2,
                         slope.numerator, slope.denominator, box_max,

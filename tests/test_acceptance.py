@@ -93,8 +93,8 @@ def test_criterion_05_slope_two_respects_euler_form_bound():
 
 def test_criterion_06_integer_scan_box_four():
     start = time.perf_counter()
-    no3 = integer_scan(NO3, Fraction(8, 3), 4, jobs=1)
-    with3 = integer_scan(WITH3, Fraction(21, 8), 4, jobs=1)
+    no3 = integer_scan(NO3, Fraction(8, 3), 4)
+    with3 = integer_scan(WITH3, Fraction(21, 8), 4)
     elapsed = time.perf_counter() - start
     # minima equal to the LP constants: no scanned integer point beats
     # either Theorem-1 bound, and both optima are attained integrally
@@ -106,7 +106,7 @@ def test_criterion_06_integer_scan_box_four():
 
 def test_criterion_07_lemma1_clean_to_5000():
     start = time.perf_counter()
-    violations = lemma1_scan(5000, jobs=1)
+    violations = lemma1_scan(5000)
     sharp = shared_primes(7, 11)
     elapsed = time.perf_counter() - start
     # the (7, 11, 19) sharpness pair exists but has mixed residues, so the

@@ -182,11 +182,10 @@ def test_scan_equals_pruned_loop_oracle(system, slope):
 def test_scan_equals_pruned_loop_oracle_at_benchmark_sizes():
     want = bruteforce_scan(WITH3, Fraction(21, 8), 9)
     assert want.minimum == Fraction(-39, 8)
-    assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=1) == want
-    assert integer_scan(WITH3, Fraction(21, 8), 9, jobs=3) == want
+    assert integer_scan(WITH3, Fraction(21, 8), 9) == want
     want = bruteforce_scan(NO3, Fraction(8, 3), 40)
     assert want.minimum == Fraction(-7, 3)
-    assert integer_scan(NO3, Fraction(8, 3), 40, jobs=1) == want
+    assert integer_scan(NO3, Fraction(8, 3), 40) == want
 
 
 # k/d in [-1, 4] with d <= 48
@@ -199,7 +198,7 @@ SLOPES = st.integers(1, 48).flatmap(
        box=st.integers(0, 5))
 def test_scan_equals_pruned_loop_oracle_on_drawn_cases(case, f3_min2, slope, box):
     system = build_system(case, f3_min2)
-    assert integer_scan(system, slope, box, jobs=1) == bruteforce_scan(system, slope, box)
+    assert integer_scan(system, slope, box) == bruteforce_scan(system, slope, box)
 
 
 def _block_points(box):
@@ -272,7 +271,7 @@ def test_box_caps(monkeypatch):
     # box^4 outer points, each solving its block in O(1)); the benchmark's
     # boxes 12, 40 and 5, 9 fit
     assert enumeration.MAX_BOX == {Case.THREE_COPRIME: 2000, Case.THREE_DIVIDES: 60}
-    monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
+    monkeypatch.setattr(enumeration, "_scan_chunk", _no_scan)
     for system, cap in ((NO3, 2000), (WITH3, 60), (WITH3_SHARP, 60)):
         with pytest.raises(ValueError, match=f"^box {cap + 1} is larger than {cap}, "
                            f"the largest scan box for {system.case.value}$"):
@@ -285,26 +284,13 @@ def test_scan_rejects_inputs_of_the_wrong_type(monkeypatch):
     # a float slope would be scanned as its binary value (0.1 gave the
     # minimum 32425917317067571/36028797018963968), a str or Decimal one as
     # whatever Fraction makes of it
-    monkeypatch.setattr(enumeration, "run_chunks", _no_scan)
+    monkeypatch.setattr(enumeration, "_scan_chunk", _no_scan)
     for slope in (0.1, 2.0, "8/3", Decimal("2.5"), 1j):
         with pytest.raises(TypeError, match=r"^slope .* is not a rational number$"):
             integer_scan(NO3, slope, 3)
     for box in (3.0, Fraction(3), "3", Decimal(3), None):
         with pytest.raises(TypeError, match=r"^box_max .* is not an int$"):
             integer_scan(WITH3, Fraction(21, 8), box)
-
-
-def test_jobs_do_not_change_results():
-    lone = integer_scan(NO3, Fraction(8, 3), 3, jobs=1)
-    assert integer_scan(NO3, Fraction(8, 3), 3, jobs=3) == lone
-    assert integer_scan(NO3, Fraction(8, 3), 3, jobs=None) == lone
-    # box 0 has no (t, e + f4) pair, box 1 fewer than three
-    for system in (WITH3, WITH3_SHARP):
-        for box in (0, 1, 2, 5):
-            lone = integer_scan(system, Fraction(21, 8), box, jobs=1)
-            for jobs in (2, 3, None):
-                assert integer_scan(system, Fraction(21, 8), box, jobs=jobs) == lone, \
-                    (system.include_f3_min2, box, jobs)
 
 
 def test_tie_break_is_lexicographic():

@@ -148,9 +148,7 @@ def test_shared_primes_bounded_by_psi_13(monkeypatch):
             shared_primes(*pair)
 
 def test_lemma1_scan_clean_and_worker_independent():
-    serial = lemma1_scan(200, jobs=1)
-    assert serial == []
-    assert lemma1_scan(200, jobs=2) == serial
+    assert lemma1_scan(200) == []
     assert lemma1_scan(1000) == []
 
 
@@ -168,13 +166,13 @@ def test_lemma2_scan_small():
         assert s.q * s.q + s.q + 1 == 3 * s.r
 
 
-def test_lemma2_scan_worker_independent(monkeypatch):
-    # the Pell walk takes no job count and maps no chunks, so no jobs
-    # setting can change its answer
-    def no_pool(*args):
-        raise AssertionError("lemma 2 mapped chunks")
+def test_lemma2_builds_no_root_table(monkeypatch):
+    # the Pell walk needs neither the sieve nor the roots of x^2+x+1 that
+    # the census and lemma 1 share
+    def no_table(*args):
+        raise AssertionError("lemma 2 built a root table")
 
-    monkeypatch.setattr(lemmas, "run_chunks", no_pool)
+    monkeypatch.setattr(lemmas, "_root_table", no_table)
     assert lemma2_scan(20000) == brute_lemma2(20000)
     assert lemma2_scan(0) == []
 
@@ -279,7 +277,7 @@ def test_each_scan_sieves_its_range_once(monkeypatch):
     monkeypatch.setattr(lemmas, "sieve", counting("sieve", primes.sieve), raising=False)
     assert bucket_census(20000, jobs=1) == brute_census(20000)
     assert calls == {"odd_prime_flags": 1, "sieve": 0}
-    assert lemma1_scan(600, jobs=1) == []
+    assert lemma1_scan(600) == []
     assert calls == {"odd_prime_flags": 2, "sieve": 0}
     # each scan sieves up to its max and no further
     assert limits == [20000, 600]
@@ -385,10 +383,9 @@ def test_shared_prime_triples_match_all_pairs_gcd(monkeypatch):
     want = {(a, b, q) for a, b, q in triples if a % 3 == b % 3}
     assert len(want) == 1651
     assert any(q == 3 for _, _, q in want)
-    for jobs in (1, 2, 3):
-        found = lemma1_scan(600, jobs=jobs)
-        assert [(v.a, v.b, v.p) for v in found] == sorted(want), jobs
-        assert all(v.bound == Fraction(v.a + v.b + 1, 10**9) for v in found)
+    found = lemma1_scan(600)
+    assert [(v.a, v.b, v.p) for v in found] == sorted(want)
+    assert all(v.bound == Fraction(v.a + v.b + 1, 10**9) for v in found)
 
 
 def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
@@ -402,8 +399,7 @@ def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
              if a < b and a % 3 == b % 3]
     want = {(a, b, 13, Fraction(a + b + 1, k_of[a % 3])) for a, b in pairs
             if a + b + 1 < k_of[a % 3] * 13}
-    found = lemmas._lemma1_chunk((500, k_of, odd_prime_flags(500), [13],
-                                  [lemmas._root(13)]))
+    found = lemmas._lemma1_chunk(500, k_of, odd_prime_flags(500), [13], [lemmas._root(13)])
     assert {(a, b, q, Fraction(a + b + 1, k)) for a, b, q, k in found} == want
     assert len(found) == len(want) == 10
     assert len(pairs) - len(want) == 28  # same-residue pairs past the limit
@@ -417,13 +413,13 @@ def test_lemma1_factors_nothing(monkeypatch):
 
     monkeypatch.setattr(lemmas, "factorize", no_work)
     monkeypatch.setattr(lemmas, "_census_chunk", no_work)
-    assert lemma1_scan(3000, jobs=1) == []
+    assert lemma1_scan(3000) == []
 
 
 def test_lemma1_memory_stays_small():
     tracemalloc.start()
     try:
-        assert lemma1_scan(50000, jobs=1) == []
+        assert lemma1_scan(50000) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,7 +427,7 @@ def test_lemma1_memory_stays_small():
 
 
 def test_lemma1_matches_bruteforce():
-    assert lemma1_scan(1500, jobs=2) == brute_lemma1(1500) == []
+    assert lemma1_scan(1500) == brute_lemma1(1500) == []
 
 
 def test_lemma2_matches_bruteforce():

@@ -22,7 +22,7 @@ def records():
     built = [
         bound.certificate,
         verify_certificate(system, bound.certificate),
-        integer_scan(system, Fraction(8, 3), 2, jobs=1),
+        integer_scan(system, Fraction(8, 3), 2),
         classify_prime(7),
         shared_primes(7, 13),
         Lemma1Violation(5, 11, 7, Fraction(17, 3)),

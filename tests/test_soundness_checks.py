@@ -37,7 +37,7 @@ def test_best_constant_raises_when_its_certificate_fails(monkeypatch):
 def test_integer_scan_raises_on_an_infeasible_witness(monkeypatch):
     monkeypatch.setattr(enumeration, "is_feasible", lambda system, point: False)
     with pytest.raises(RuntimeError, match="infeasible witness"):
-        enumeration.integer_scan(build_system(Case.THREE_COPRIME), Fraction(2), 2, jobs=1)
+        enumeration.integer_scan(build_system(Case.THREE_COPRIME), Fraction(2), 2)
 
 
 def test_pivot_limit_raises_runtime_error(monkeypatch):
