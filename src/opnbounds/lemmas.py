@@ -12,20 +12,23 @@ over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
 lemma 2 follows a Pell recurrence. The direct loops they replace are test
 oracles in tests/nt_bruteforce.py.
 
-The census sieve only counts: for each n of a segment it keeps how many
-distinct primes q up to the segment's top hi divide n^2+n+1, and the
-largest of them; a q below the segment's length updates each root class
-with slices. Since n^2+n+1 < (hi+1)^2, what none of those q divides is 1
-or one prime, so each prime n finishes exactly with at most a few
-divisions; _census_chunk lists the cases. Lemma 1's walk returns plain
-(a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation records and
-loads fractions only when there is one.
+The census sieve only counts, in one state byte per n of a segment: none,
+one, two or more distinct primes q up to the segment's top hi divide
+n^2+n+1, and for one or two the floor of 2 log2 of each. One translate per
+root class of a q updates it. Since n^2+n+1 < (hi+1)^2, what none of those
+q divides is 1 or one prime, so a square sieve over the q below
+(hi+1)^(2/3), a bit-length test for two q and a primality look-up for the
+few n with n^2+n+1 <= 3 hi settle every prime n, and bytes.count reads the
+counts off the states; _census_chunk proves the cases. Lemma 1's walk
+returns plain (a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation
+records and loads fractions only when there is one.
 
 Every scan runs in the calling process and calls its chunk function
 directly; bucket_census accepts a jobs argument and ignores it. The census
 and lemma 1 each sieve their range [3, max] once, through one helper,
-_root_table: one odd_prime_flags array gives the primes q they walk and one
-pass finds a root of x^2+x+1 modulo each q. bucket_census builds that
+_root_table: one odd_prime_flags array gives the primes q they walk, and
+one walk over the sums q = a^2 + ab + b^2 finds a root a/b of x^2+x+1
+modulo each prime q with one modular inverse. bucket_census builds that
 table once and hands it to _census_chunk for each (lo, size) segment, and
 lemma1_scan hands it to _lemma1_chunk. Lemma 1 needs no q past max,
 because a shared prime of a same-residue pair is below it (see
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .primes import PSI_13, factorize, is_prime, odd_prime_flags
@@ -47,14 +50,22 @@ BUCKETS = ("S1", "S2", "S3plus")
 RESIDUES = (1, 2)
 CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 
-# odd n per sieve segment; bounds the arrays one segment holds
+# odd n per census segment and q per block of _root_table; bounds the
+# arrays one segment or block holds
 _SEGMENT = 1 << 18
-_PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # translate table of b + 1, held at 255
+# census state bytes, see _census_chunk: a prime n starts at 0 and a
+# composite one at 255, which every table keeps; _ADD[l] counts one more q
+# with l(q) = l, and _SQUARE sends each d = 1 state to 255
+_START = b"\xff\x00" + bytes(254)
+_ADD = [bytes([1 + l]) + b"\xff" * 5 + bytes(range(53 + l, 94 + l)) + b"\xff" * 209
+        for l in range(46)]
+_ONE_Q = bytes(range(6, 47))  # the d = 1 states
+_SQUARE = bytes(range(6)) + b"\xff" * 41 + bytes(range(47, 256))
 
 # the largest max of each range scan, for the time budget of MAX_BOX: at
-# these the census took 4.6-5.3 s and lemma 1 1.9-2.7 s (2-core host,
-# CPython 3.11.7). MAX_CENSUS also keeps every q within the
-# array("L") of _census_chunk, which is 32 bits wide on some platforms.
+# these a census process took 1.7-1.9 s and a lemma 1 process 1.2 s
+# (2-core host, CPython 3.11.7). Both keep every q within the array("L")
+# of _root_table.
 MAX_CENSUS = 8 * 10**6
 MAX_LEMMA1 = 10**7
 # lemma 2 walks O(log max) p and settles each with a gcd (see
@@ -134,23 +145,46 @@ def shared_primes(a: int, b: int) -> SharedPrimes:
     return SharedPrimes(min(a, b), max(a, b), common, bound)
 
 
-def _root(q: int) -> int:
-    """A root w of x^2+x+1 modulo a prime q = 1 (mod 3); the other root is
-    q-1-w."""
-    a = 2  # w = a^((q-1)/3) has w^3 = 1, so w != 1 makes w^2+w+1 = 0
-    while (w := pow(a, (q - 1) // 3, q)) == 1:
-        a += 1
-    return w
-
-
 def _root_table(limit: int) -> tuple:
     """(flags, qs, ws) over [3, limit], the one sieve and root pass of both
     n^2+n+1 scans: flags = odd_prime_flags(limit), qs the primes q = 1
     (mod 3) up to limit, ws a root of x^2+x+1 modulo each. Such q are odd,
-    so they are among 7, 13, 19, ...: every third flag from 7's."""
+    so they are among 7, 13, 19, ...: every third flag from 7's.
+
+    Every prime q = 1 (mod 3) is a^2 + ab + b^2 for a pair a > b >= 1
+    (the norm form of the Eisenstein integers), and then w = a/b (mod q)
+    has w^2 + w + 1 = q/b^2 = 0 (mod q), as 0 < b < q. So the pass walks b
+    up to sqrt(limit/3), as a > b makes the sum above 3b^2, and for each b
+    the a in the classes that can give such a q: a = b (mod 3) makes 3
+    divide the sum, and a, b both even makes it even. Where the flags say
+    the sum is prime, one modular inverse gives its root. The pass fills the
+    roots of _SEGMENT consecutive candidates 7 + 6k at a time, walking for
+    each b only the a whose sums fall among them, so no array over all of
+    [7, limit] holds the roots before they are put in q order. qs and ws are
+    array("L"), which is 32 bits wide on some platforms; MAX_CENSUS and
+    MAX_LEMMA1 keep every q within it.
+    """
     flags = odd_prime_flags(limit)
-    qs = array("L", compress(range(7, limit + 1, 6), flags[2::3]))
-    return flags, qs, array("L", map(_root, qs))
+    prime_q = flags[2::3]  # prime_q[k]: q = 7 + 6k is prime
+    ws = array("L")
+    for base in range(0, len(prime_q), _SEGMENT):  # one block of k
+        size = min(_SEGMENT, len(prime_q) - base)
+        low, high = 6 * base + 7, 6 * (base + size) + 1  # its least and largest q
+        roots = array("L", [0]) * size
+        for b in range(1, isqrt(high // 3) + 1):
+            # the least and the largest a with low <= a^2 + ab + b^2 <= high
+            bottom = max(b + 1, (isqrt(max(4 * low - 3 * b * b - 1, 0)) + 2 - b) // 2)
+            top = (isqrt(4 * high - 3 * b * b) - b) // 2
+            step, c = (3 if b % 2 else 6), b * b - 7
+            for start in range(bottom, bottom + step):
+                if (start - b) % 3 and (start | b) & 1:
+                    for a in range(start, top + 1, step):
+                        k = (a * (a + b) + c) // 6
+                        if prime_q[k]:
+                            q = 6 * k + 7
+                            roots[k - base] = a * pow(b, -1, q) % q
+        ws.extend(compress(roots, prime_q[base:base + size]))
+    return flags, array("L", compress(range(7, limit + 1, 6), prime_q)), ws
 
 
 def _segments(limit: int) -> list:
@@ -164,66 +198,112 @@ def _segments(limit: int) -> list:
     return [(5 + 2 * a, b - a) for a, b in zip(edges, edges[1:])]
 
 
+def _square_cut(hi: int) -> int:
+    """The least Q with Q^3 >= (hi+1)^2, by Newton's integer cube root."""
+    target = (hi + 1) ** 2
+    x = 1 << -(-target.bit_length() // 3)  # at least the cube root
+    while (y := (2 * x + target // (x * x)) // 3) < x:
+        x = y
+    return x + (x ** 3 < target)
+
+
 def _census_chunk(lo, size, all_flags, qs, ws) -> list:
-    """Polynomial sieve of n^2+n+1 over the primes n of one segment (lo,
-    size): their counts per cell in CELLS order. all_flags, qs and ws are
-    _root_table of at least the segment's top, shared by every segment.
+    """Polynomial sieve of f = n^2+n+1 over the primes n of one segment
+    (lo, size): their counts per cell in CELLS order. all_flags, qs and ws
+    are _root_table of at least the segment's top hi, shared by every
+    segment.
 
-    3 divides f = n^2+n+1 exactly when n = 1 (mod 3), 9 never; write t for
-    that 0 or 1. Any other prime factor q is 1 (mod 3) and divides f
-    exactly when n = w or q-1-w (mod q), so each q up to the top hi walks
-    those two classes. The walk only counts: seen[j] is d, the number of
-    distinct such q dividing f, and top[j] the largest. A q below the
-    segment size updates each class with one slice assignment per array; a
-    larger q has at most one index in each class.
+    3 divides f exactly when n = 1 (mod 3), 9 never; write t for that 0 or
+    1. Any other prime factor q is 1 (mod 3) and divides f exactly when
+    n = w or q-1-w (mod q). Let d be the number of distinct such q <= hi
+    that divide f, and l(x) = (x*x).bit_length() - 1, the floor of
+    2 log2 x. Each n keeps one state byte: 0 for d = 0, 1 + l(q) for
+    d = 1, 48 + l(q1) + l(q2) for d = 2, and 255 for d >= 3 or a composite
+    n. l(q) <= 45 up to MAX_CENSUS, so the d = 1 states are 6..46 and the
+    d = 2 states 58..138. Each q <= hi updates its two root classes with
+    one translate by _ADD[l(q)]; a q past the segment's size has at most
+    one index in each.
 
-    f < (hi+1)^2, so the part of f that no prime up to hi divides is 1 or
-    one prime. So each prime n finishes exactly, with at most a few
-    divisions:
-    - d + t >= 3 puts it in S3plus;
-    - d = 0 leaves f/3^t > 1 free of small factors: Omega = t + 1;
-    - d = 1: divide q = top out of f, e times, leaving r; r/3^t is 1 or
-      one prime, so Omega = t + e + [r > 3^t];
-    - d = 2, so t = 0: r = f/q^e is divisible by the other q', below q. If
-      r <= hi and the flags say r is prime, r = q' and Omega = e + 1. Else
-      r is not prime (a prime r would be q' <= hi), so Omega >= e + 2 >= 3.
+    f < (hi+1)^2, so the part r of f that no prime up to hi divides is 1
+    or one prime above hi. With e the exponent of q in f and Omega the
+    prime factors of f counted with multiplicity, each prime n falls in
+    one case:
+    - d = 0: r = f/3^t > 1, so Omega = t + 1.
+    - d = 1 and q^2 | f: Omega = t + e + [r > 1] >= 2, with equality only
+      for f = q^2, which (2q)^2 - (2n+1)^2 = 3 rules out. So Omega >= 3.
+      The square sieve sends these states to 255, walking the roots of
+      x^2+x+1 lifted modulo q^2, but only for q < Q, the least Q with
+      Q^3 >= (hi+1)^2. For q >= Q, q^3 > f gives e = 2, and r = 1 because
+      a prime r > hi would make f >= q^2 (hi+1) > (hi+1)^2. As f = q^2 is
+      ruled out, f = 3q^2 with t = 1, which the next case puts in S3plus.
+    - d = 1 otherwise: Omega = t + 1 + [r > 1]. r = 1 means f = 3^t q with
+      q <= hi, so f <= 3 hi. So the d = 1 states give S2 for t = 0 and
+      S3plus for t = 1, and the few n with f <= 3 hi and f/3^t prime move
+      one bucket down (f = q, f = 3q).
+    - d = 2: Omega >= 3 for t = 1. For t = 0, Omega = 2 exactly when
+      f = q1 q2, and then l(f) - l(q1) - l(q2) is 0 or 1, as
+      floor(x + y) - floor(x) - floor(y) is. Any other f is q1 q2 times a
+      factor of at least 7 (q1, q2 or r), and 2 log2 7 > 5 makes that
+      difference at least 5. So S2 gets the states 47 + l(f) and
+      48 + l(f), counted over each run of n where l(f) is the same.
+    - d >= 3: Omega >= 3.
+    bytes.count over each residue class's states gives the counts; every
+    prime n not counted in S1 or S2 is in S3plus.
     """
     hi = lo + 2 * size - 2
     start = (lo - 3) >> 1
     flags = all_flags[start:start + size]  # flags[j]: lo + 2j is prime
-    seen = bytearray(size)  # distinct q <= hi dividing n^2+n+1
-    top = array("L", [0]) * size  # the largest of them
+    state = flags.translate(_START)
     for q, w in zip(qs, ws):
         if q > hi:
             break
+        add = _ADD[(q * q).bit_length() - 1]
         for root in (w, q - 1 - w):
             first = (root - lo) * (q + 1) // 2 % q  # lo + 2j = root (mod q)
             if q < size:  # the class is first, first + q, ... below size
-                seen[first::q] = seen[first::q].translate(_PLUS_ONE)
-                top[first::q] = array("L", [q]) * len(range(first, size, q))
-            elif first < size and flags[first]:  # the class's only index
-                seen[first] += 1
-                top[first] = q
-    cells = [0] * len(CELLS)
+                state[first::q] = state[first::q].translate(add)
+            elif first < size:  # the class's only index
+                state[first] = add[state[first]]
+    cut = _square_cut(hi)
+    for q, w in zip(qs, ws):
+        if q >= cut:
+            break
+        qq = q * q
+        w = (w - (w * w + w + 1) * pow(2 * w + 1, -1, qq)) % qq  # Hensel's lift
+        for root in (w, qq - 1 - w):
+            first = (root - lo) * (qq + 1) // 2 % qq
+            if qq < size:
+                state[first::qq] = state[first::qq].translate(_SQUARE)
+            elif first < size:
+                state[first] = _SQUARE[state[first]]
+    cells = [0] * len(CELLS)  # (bucket, residue) at 2 * bucket + residue - 1
     for j in compress(range(size), flags):
         n = lo + 2 * j
-        t, d = n % 3 == 1, seen[j]
-        if d + t >= 3:
-            omega = 3
-        elif d == 0:
-            omega = t + 1
-        else:
-            q = top[j]
-            rest, e = (n * n + n + 1) // q, 1
-            while rest % q == 0:
-                rest, e = rest // q, e + 1
-            if d == 1:
-                omega = t + e + (rest > 3 ** t)
-            elif rest <= hi and all_flags[(rest - 3) >> 1]:
-                omega = e + 1
-            else:
-                omega = e + 2
-        cells[2 * min(omega, 3) + n % 3 - 3] += 1
+        if n * n + n + 1 > 3 * hi:  # past the first few n
+            break
+        t = n % 3 == 1
+        rest = (n * n + n + 1) // 3 ** t
+        if 6 <= state[j] <= 46 and rest <= hi and all_flags[(rest - 3) >> 1]:
+            cells[2 * t + n % 3 - 1] += 1  # f = 3^t q: Omega = t + 1
+            cells[2 * t + n % 3 + 1] -= 1
+    for residue in RESIDUES:
+        j0 = (lo - residue) % 3  # lo + 2j = residue (mod 3) exactly for these j
+        row = state[j0::3]
+        if residue == 1:  # t = 1
+            cells[2] += row.count(0)
+        else:  # t = 0
+            cells[1] += row.count(0)
+            cells[3] += len(row) - len(row.translate(None, _ONE_Q))
+            n0 = lo + 2 * j0  # row[i] is the state of n0 + 6i
+            i, ell = 0, ((n0 * n0 + n0 + 1) ** 2).bit_length() - 1
+            while i < len(row):  # the run of n with l(f) = ell
+                c = isqrt((2 << ell) - 1) + 1  # the least f with l(f) > ell
+                n = (isqrt(4 * c - 4) + 1) // 2  # the least n with f >= c
+                end = min(len(row), max(i, -(-(n - n0) // 6)))
+                cells[3] += row.count(47 + ell, i, end) + row.count(48 + ell, i, end)
+                i, ell = end, ell + 1
+        cells[residue + 3] = (flags[j0::3].count(1) - cells[residue - 1]
+                              - cells[residue + 1])
     return cells
 
 

@@ -16,12 +16,18 @@ def _odd_primes(limit):
     return [p for p in sieve(limit) if p > 3]
 
 
+def brute_cells(max_prime):
+    """{p: (bucket, residue)} for every prime 3 < p <= max_prime, by factoring
+    p^2+p+1."""
+    return {p: (BUCKETS[min(len(factorize(p * p + p + 1)), 3) - 1], p % 3)
+            for p in _odd_primes(max_prime)}
+
+
 def brute_census(max_prime):
     """bucket_census by factoring p^2+p+1 for every prime 3 < p <= max_prime."""
     counts = {(bucket, residue): 0 for bucket in BUCKETS for residue in RESIDUES}
-    for p in _odd_primes(max_prime):
-        k = len(factorize(p * p + p + 1))
-        counts[(BUCKETS[min(k, 3) - 1], p % 3)] += 1
+    for cell in brute_cells(max_prime).values():
+        counts[cell] += 1
     return counts
 
 

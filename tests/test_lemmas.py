@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from nt_bruteforce import (brute_census, brute_lemma1, brute_lemma2,
+from nt_bruteforce import (brute_cells, brute_census, brute_lemma1, brute_lemma2,
                            brute_shared_triples)
 from opnbounds import lemmas, primes
 from opnbounds.lemmas import (BUCKETS, Lemma2Solution, bucket_census,
                               classify_prime, lemma1_scan, lemma2_scan,
                               lemma2_violations, shared_primes)
-from opnbounds.primes import PSI_13, is_prime, odd_prime_flags, sieve
+from opnbounds.primes import PSI_13, factorize, is_prime, odd_prime_flags, sieve
 
 # counts pinned from an independent factoring library
 CENSUS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "census_reference.json"
@@ -243,11 +243,123 @@ def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
         assert bucket_census(20000, jobs=jobs) == want, jobs
 
 
+def _ell(x):
+    """l(x) of _census_chunk: the floor of 2 log2 x."""
+    return (x * x).bit_length() - 1
+
+
+def _census_case(n, hi):
+    """The case of the proof in _census_chunk's docstring that settles the
+    prime n in a segment whose top is hi, each case's own claims checked
+    as stated."""
+    f, t = n * n + n + 1, n % 3 == 1
+    factors = Counter(factorize(f))
+    omega = sum(factors.values())
+    small = {q: e for q, e in factors.items() if q != 3 and q <= hi}
+    assert factors[3] == t and f < (hi + 1) ** 2
+    if len(small) == 0:
+        assert omega == t + 1
+        return "d = 0"
+    if len(small) == 1:
+        (q, e), = small.items()
+        if e >= 2:
+            assert omega >= 3
+            if q < lemmas._square_cut(hi):
+                return "q^2 | f, q < Q"
+            assert f == 3 * q * q
+            return "q^2 | f, q >= Q"
+        if f == 3 ** t * q:
+            assert omega == t + 1 and f <= 3 * hi
+            return "f = 3q" if t else "f = q"
+        assert omega == t + 2
+        return "d = 1"
+    if len(small) == 2 and not t:
+        q1, q2 = small
+        gap = _ell(f) - _ell(q1) - _ell(q2)
+        if f == q1 * q2:
+            assert omega == 2 and gap in (0, 1)
+            return "f = q1 q2"
+        assert omega >= 3 and gap >= 5
+        return "d = 2, f != q1 q2"
+    assert omega >= 3
+    return "d + t >= 3"
+
+
+PROOF_CASES = {"d = 0", "q^2 | f, q < Q", "q^2 | f, q >= Q", "f = 3q", "f = q", "d = 1",
+               "f = q1 q2", "d = 2, f != q1 q2", "d + t >= 3"}
+
+
+def _census_cases(max_prime):
+    """Counter of _census_case over the primes of bucket_census(max_prime),
+    each with the top of its segment."""
+    cases = Counter()
+    for lo, size in lemmas._segments(max_prime):
+        hi = lo + 2 * size - 2
+        cases.update(_census_case(n, hi) for n in range(lo, hi + 1, 2) if is_prime(n))
+    return cases
+
+
+def test_census_matches_bruteforce_at_every_max_below_3000():
+    cells = brute_cells(2999)
+    want = brute_census(4)
+    for max_prime in range(-3, 3000):
+        if max_prime in cells:
+            want[cells[max_prime]] += 1
+        assert bucket_census(max_prime) == want, max_prime
+    assert want == brute_census(2999)
+    # no case of the proof passes unseen: n = 313 has f = 3 * 181^2, and
+    # 181 >= Q for a top hi up to 2434
+    cases = _census_cases(1999) + _census_cases(2999)
+    assert set(cases) == PROOF_CASES, cases
+    assert cases["q^2 | f, q >= Q"] == 1
+
+
+def test_census_matches_bruteforce_over_short_segments(monkeypatch):
+    # each segment has its own top hi, square cut Q and runs of l(f), and
+    # the root table fills its roots 64 candidates q at a time
+    monkeypatch.setattr(lemmas, "_SEGMENT", 64)
+    flags, qs, ws = lemmas._root_table(6007)
+    assert list(qs) == _trial_primes_1_mod_3(6007) and len(ws) == len(qs)
+    assert all((w * w + w + 1) % q == 0 for q, w in zip(qs, ws))
+    for max_prime in (2000, 4099, 6007):
+        assert len(lemmas._segments(max_prime)) >= 15
+        assert bucket_census(max_prime) == brute_census(max_prime), max_prime
+    assert set(_census_cases(6007)) == PROOF_CASES
+
+
+def test_census_state_bytes_stay_apart():
+    # l(q) <= 45 for every q <= MAX_CENSUS, so the d = 2 states
+    # 48 + l(q1) + l(q2) stay at most 138, below 255
+    assert _ell(lemmas.MAX_CENSUS) == 45 and 2 * 45 + 48 == 138
+    assert len(lemmas._ADD) == 46
+    one = range(6, 47)
+    assert lemmas._ONE_Q == bytes(one)
+    for ell in range(_ell(7), 46):
+        add = lemmas._ADD[ell]
+        assert add[0] == 1 + ell and add[255] == 255
+        assert [add[1 + other] for other in range(5, 46)] == [48 + other + ell
+                                                             for other in range(5, 46)]
+        assert set(add[58:139]) == {255}
+    assert all(lemmas._SQUARE[s] == (255 if s in one else s) for s in range(256))
+    assert lemmas._START[:2] == b"\xff\x00"
+
+
+def test_square_cut_is_the_least_q_with_q_cubed_at_least_hi_plus_1_squared():
+    for hi in [*range(1, 3000), lemmas.MAX_CENSUS, *(k**3 + d for k in range(2, 300)
+                                                      for d in (-2, -1, 0))]:
+        cut = lemmas._square_cut(hi)
+        assert cut**3 >= (hi + 1) ** 2 > (cut - 1) ** 3, hi
+    assert lemmas._square_cut(lemmas.MAX_CENSUS) == 40001
+    # in integers: a float cube root is off at this size
+    assert lemmas._square_cut(10**60 - 1) == 10**40
+    assert round(float(10**120) ** (1 / 3)) != 10**40
+
+
 def test_census_memory_stays_small():
-    # 3.76 MiB on CPython 3.11.7, 64-bit Linux, 2 MiB of it one segment's
-    # top array("L") of 250000 entries; a sieve that kept each n's cofactor
-    # in an array("Q") read 5.51 MiB, and this one with the root table's qs
-    # and ws in lists of ints 6.19 MiB
+    # 2.53 MiB on CPython 3.11.7, 64-bit Linux, 1.27 MiB of it the root
+    # table's one block of 166666 roots in an array("L"); a sieve that kept
+    # each n's largest q in an array("L") read 3.76 MiB, one that kept each
+    # n's cofactor in an array("Q") 5.51 MiB
     tracemalloc.start()
     try:
         bucket_census(10**6, jobs=1)
@@ -334,7 +446,7 @@ def test_lemma1_bound_holds_by_its_case_split():
 
 def test_scan_caps():
     assert (lemmas.MAX_CENSUS, lemmas.MAX_LEMMA1, lemmas.MAX_LEMMA2) == (8 * 10**6, 10**7, 10**1200)
-    # _census_chunk keeps each n's largest q in an array("L"), which is 32
+    # _root_table keeps each q and its root in an array("L"), which is 32
     # bits wide on some platforms
     assert lemmas.MAX_CENSUS < 2**32
     # r = p^2+p+1 at the cap has 2401 digits; past p of about 10^2150 it has
@@ -399,7 +511,8 @@ def test_lemma1_pair_walk_reports_every_pair_under_the_limit():
              if a < b and a % 3 == b % 3]
     want = {(a, b, 13, Fraction(a + b + 1, k_of[a % 3])) for a, b in pairs
             if a + b + 1 < k_of[a % 3] * 13}
-    found = lemmas._lemma1_chunk(500, k_of, odd_prime_flags(500), [13], [lemmas._root(13)])
+    # 3 is a root of x^2+x+1 modulo 13, which is 3^2+3+1
+    found = lemmas._lemma1_chunk(500, k_of, odd_prime_flags(500), [13], [3])
     assert {(a, b, q, Fraction(a + b + 1, k)) for a, b, q, k in found} == want
     assert len(found) == len(want) == 10
     assert len(pairs) - len(want) == 28  # same-residue pairs past the limit

@@ -80,6 +80,19 @@ def timed(src: Path, argv: list, work: Path, launch=MODULE) -> tuple:
     return seconds, usage.ru_utime + usage.ru_stime
 
 
+def alternate(trees, argv: list, work: Path, reps: int, launch=MODULE) -> tuple:
+    """([(wall, CPU)] under trees[0], [(wall, CPU)] under trees[1]): reps
+    timed runs of one command per tree, after one unrecorded warm-up run
+    per tree; the tree that goes first alternates."""
+    for src in trees:
+        timed(src, argv, work, launch)
+    runs = ([], [])
+    for rep in range(reps):
+        for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
+            runs[side].append(timed(trees[side], argv, work, launch))
+    return runs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, metavar="OLD_SRC")
@@ -98,12 +111,7 @@ def main() -> None:
               f"{'old cpu':>9}{'new cpu':>9}{'diff':>9}{'new wins':>10}")
         rows = [("floor", FLOOR, ()), *((label, argv, MODULE) for label, argv in commands(work))]
         for label, argv, launch in rows:
-            for src in trees:
-                timed(src, argv, work, launch)
-            runs = ([], [])  # (wall, cpu) per rep and tree
-            for rep in range(args.reps):
-                for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                    runs[side].append(timed(trees[side], argv, work, launch))
+            runs = alternate(trees, argv, work, args.reps, launch)
             line = f"{label:<24}"
             for k in (0, 1):  # wall, then CPU
                 old, new = ([run[k] for run in side] for side in runs)
