@@ -229,14 +229,15 @@ def _census_chunk(lo, size, all_flags, qs, ws) -> list:
     prime factors of f counted with multiplicity, each prime n falls in
     one case:
     - d = 0: r = f/3^t > 1, so Omega = t + 1.
-    - d = 1 and q^2 | f: Omega = t + e + [r > 1] >= 2, with equality only
+    - d = 1 and e >= 2: Omega = t + e + [r > 1] >= 2, with equality only
       for f = q^2, which (2q)^2 - (2n+1)^2 = 3 rules out. So Omega >= 3.
       The square sieve sends these states to 255, walking the roots of
       x^2+x+1 lifted modulo q^2, but only for q < Q, the least Q with
       Q^3 >= (hi+1)^2. For q >= Q, q^3 > f gives e = 2, and r = 1 because
       a prime r > hi would make f >= q^2 (hi+1) > (hi+1)^2. As f = q^2 is
-      ruled out, f = 3q^2 with t = 1, which the next case puts in S3plus.
-    - d = 1 otherwise: Omega = t + 1 + [r > 1]. r = 1 means f = 3^t q with
+      ruled out, f = 3q^2 with t = 1: its state stays, and the next case's
+      count puts it in S3plus, as f/3 = q^2 is not prime.
+    - d = 1 and e = 1: Omega = t + 1 + [r > 1]. r = 1 means f = 3^t q with
       q <= hi, so f <= 3 hi. So the d = 1 states give S2 for t = 0 and
       S3plus for t = 1, and the few n with f <= 3 hi and f/3^t prime move
       one bucket down (f = q, f = 3q).
@@ -283,7 +284,7 @@ def _census_chunk(lo, size, all_flags, qs, ws) -> list:
             break
         t = n % 3 == 1
         rest = (n * n + n + 1) // 3 ** t
-        if 6 <= state[j] <= 46 and rest <= hi and all_flags[(rest - 3) >> 1]:
+        if state[j] in _ONE_Q and rest <= hi and all_flags[(rest - 3) >> 1]:
             cells[2 * t + n % 3 - 1] += 1  # f = 3^t q: Omega = t + 1
             cells[2 * t + n % 3 + 1] -= 1
     for residue in RESIDUES:

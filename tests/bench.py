@@ -45,7 +45,7 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-from time_processes import alternate, commands, timed
+from time_processes import alternate, clean_env, commands, timed
 
 ROOT = Path(__file__).resolve().parent.parent
 # a fresh interpreter's traced pass: argv is this directory and the tree
@@ -125,12 +125,6 @@ def traced_pass(src: Path) -> dict:
             entry = summary.get(f"{layer}.{name}", {"calls": 0, "s": 0.0, "self_s": 0.0})
             functions[f"{layer}.{name}"] = {key: entry[key] for key in ("calls", "s", "self_s")}
     return functions
-
-
-def clean_env() -> dict:
-    """This process's environment without PYTHON* variables, as
-    time_processes.timed runs its children."""
-    return {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
 
 
 def paired(parent: list, change: list) -> dict:

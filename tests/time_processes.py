@@ -60,11 +60,16 @@ def commands(work: Path) -> list:
     ]
 
 
+def clean_env() -> dict:
+    """This process's environment without its PYTHON* variables."""
+    return {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+
+
 def timed(src: Path, argv: list, work: Path, launch=MODULE) -> tuple:
     """(wall seconds, CPU seconds) of one `python -m opnbounds argv` process
     under src, or of `python argv` for launch=(); the CPU is the child's
     user plus system time."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env = clean_env()
     env.update(PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     start = perf_counter()
     proc = subprocess.Popen([sys.executable, *launch, *argv], env=env, cwd=work,
