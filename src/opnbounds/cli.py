@@ -81,7 +81,10 @@ class _OutputError(Exception):
 def _emit(fmt: str, text, payload=None, header=(), rows=()) -> None:
     """Print one result: payload as JSON, header and rows as CSV (booleans
     spelled as in JSON), or else the text lines. Fractions are spelled n/d
-    in all three. A failed write raises _OutputError."""
+    in all three. A failed write raises _OutputError. With fd 1 closed at
+    start-up sys.stdout is None, and nothing is written."""
+    if sys.stdout is None:
+        return
     try:
         if fmt == "json":
             import json

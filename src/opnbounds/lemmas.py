@@ -12,8 +12,8 @@ over n^2+n+1, lemma 1 walks the primes that can divide two such values, and
 lemma 2 follows a Pell recurrence. The direct loops they replace are test
 oracles in tests/nt_bruteforce.py.
 
-The census sieve only counts, in one state byte per n of a segment: none,
-one, two or more distinct primes q up to the segment's top hi divide
+The census sieve only counts, in one state byte per odd n up to max: none,
+one, two or more distinct primes q up to the largest such n, hi, divide
 n^2+n+1, and for one or two the floor of 2 log2 of each. One translate per
 root class of a q updates it. Since n^2+n+1 < (hi+1)^2, what none of those
 q divides is 1 or one prime, so a square sieve over the q below
@@ -28,8 +28,8 @@ directly; bucket_census accepts a jobs argument and ignores it. The census
 and lemma 1 each sieve their range [3, max] once, through one helper,
 _root_table: one odd_prime_flags array gives the primes q they walk, and
 one walk over the sums q = a^2 + ab + b^2 finds a root a/b of x^2+x+1
-modulo each prime q with one modular inverse. bucket_census builds that
-table once and hands it to _census_chunk for each (lo, size) segment, and
+modulo each prime q with one modular inverse. bucket_census hands that
+table to one _census_chunk call, which sieves the whole range, and
 lemma1_scan hands it to _lemma1_chunk. Lemma 1 needs no q past max,
 because a shared prime of a same-residue pair is below it (see
 _lemma1_chunk). Their largest ranges are MAX_CENSUS and MAX_LEMMA1; a
@@ -50,8 +50,7 @@ BUCKETS = ("S1", "S2", "S3plus")
 RESIDUES = (1, 2)
 CELLS = tuple((bucket, residue) for bucket in BUCKETS for residue in RESIDUES)
 
-# odd n per census segment and q per block of _root_table; bounds the
-# arrays one segment or block holds
+# candidates q per block of _root_table; bounds the roots array of a block
 _SEGMENT = 1 << 18
 # census state bytes, see _census_chunk: a prime n starts at 0 and a
 # composite one at 255, which every table keeps; _ADD[l] counts one more q
@@ -63,7 +62,7 @@ _ONE_Q = bytes(range(6, 47))  # the d = 1 states
 _SQUARE = bytes(range(6)) + b"\xff" * 41 + bytes(range(47, 256))
 
 # the largest max of each range scan, for the time budget of MAX_BOX: at
-# these a census process took 1.7-1.9 s and a lemma 1 process 1.2 s
+# these a census process took 0.8-1.2 s and a lemma 1 process 1.4-2.2 s
 # (2-core host, CPython 3.11.7). Both keep every q within the array("L")
 # of _root_table.
 MAX_CENSUS = 8 * 10**6
@@ -187,17 +186,6 @@ def _root_table(limit: int) -> tuple:
     return flags, array("L", compress(range(7, limit + 1, 6), prime_q)), ws
 
 
-def _segments(limit: int) -> list:
-    """Sieve segments (lo, size) of the odd n = lo + 2j, j < size, in
-    [5, limit], as few as keep each within _SEGMENT."""
-    total = (limit - 3) // 2
-    if total <= 0:
-        return []
-    parts = -(-total // _SEGMENT)
-    edges = [total * k // parts for k in range(parts + 1)]
-    return [(5 + 2 * a, b - a) for a, b in zip(edges, edges[1:])]
-
-
 def _square_cut(hi: int) -> int:
     """The least Q with Q^3 >= (hi+1)^2, by Newton's integer cube root."""
     target = (hi + 1) ** 2
@@ -207,11 +195,12 @@ def _square_cut(hi: int) -> int:
     return x + (x ** 3 < target)
 
 
-def _census_chunk(lo, size, all_flags, qs, ws) -> list:
-    """Polynomial sieve of f = n^2+n+1 over the primes n of one segment
-    (lo, size): their counts per cell in CELLS order. all_flags, qs and ws
-    are _root_table of at least the segment's top hi, shared by every
-    segment.
+def _census_chunk(flags, qs, ws) -> list:
+    """Polynomial sieve of f = n^2+n+1 over the primes 3 < n <= hi: their
+    counts per cell in CELLS order. flags, qs and ws are _root_table of a
+    max whose largest odd n is hi, and the sieve reads them in place: the
+    state of n = 3 + 2j is state[j], as flags[j] is its flag. n = 3 is in
+    neither residue class, so no count reads state[0].
 
     3 divides f exactly when n = 1 (mod 3), 9 never; write t for that 0 or
     1. Any other prime factor q is 1 (mod 3) and divides f exactly when
@@ -221,8 +210,8 @@ def _census_chunk(lo, size, all_flags, qs, ws) -> list:
     d = 1, 48 + l(q1) + l(q2) for d = 2, and 255 for d >= 3 or a composite
     n. l(q) <= 45 up to MAX_CENSUS, so the d = 1 states are 6..46 and the
     d = 2 states 58..138. Each q <= hi updates its two root classes with
-    one translate by _ADD[l(q)]; a q past the segment's size has at most
-    one index in each.
+    one translate by _ADD[l(q)]; a q past the number of n has at most one
+    index in each.
 
     f < (hi+1)^2, so the part r of f that no prime up to hi divides is 1
     or one prime above hi. With e the exponent of q in f and Omega the
@@ -251,9 +240,8 @@ def _census_chunk(lo, size, all_flags, qs, ws) -> list:
     bytes.count over each residue class's states gives the counts; every
     prime n not counted in S1 or S2 is in S3plus.
     """
-    hi = lo + 2 * size - 2
-    start = (lo - 3) >> 1
-    flags = all_flags[start:start + size]  # flags[j]: lo + 2j is prime
+    size = len(flags)
+    lo, hi = 3, 2 * size + 1
     state = flags.translate(_START)
     for q, w in zip(qs, ws):
         if q > hi:
@@ -278,13 +266,13 @@ def _census_chunk(lo, size, all_flags, qs, ws) -> list:
             elif first < size:
                 state[first] = _SQUARE[state[first]]
     cells = [0] * len(CELLS)  # (bucket, residue) at 2 * bucket + residue - 1
-    for j in compress(range(size), flags):
+    for j in compress(range(1, size), memoryview(flags)[1:]):  # n = 5, 7, ...
         n = lo + 2 * j
         if n * n + n + 1 > 3 * hi:  # past the first few n
             break
         t = n % 3 == 1
         rest = (n * n + n + 1) // 3 ** t
-        if state[j] in _ONE_Q and rest <= hi and all_flags[(rest - 3) >> 1]:
+        if state[j] in _ONE_Q and rest <= hi and flags[(rest - 3) >> 1]:
             cells[2 * t + n % 3 - 1] += 1  # f = 3^t q: Omega = t + 1
             cells[2 * t + n % 3 + 1] -= 1
     for residue in RESIDUES:
@@ -318,9 +306,7 @@ def bucket_census(max_prime: int, jobs: int | None = 1) -> dict:
     if max_prime > MAX_CENSUS:
         raise ValueError(f"max {max_prime} is larger than {MAX_CENSUS}, "
                          f"the largest census max")
-    flags, qs, ws = _root_table(max_prime)
-    parts = [_census_chunk(lo, size, flags, qs, ws) for lo, size in _segments(max_prime)]
-    return dict(zip(CELLS, map(sum, zip([0] * len(CELLS), *parts))))
+    return dict(zip(CELLS, _census_chunk(*_root_table(max_prime))))
 
 
 class Lemma1Violation(NamedTuple):

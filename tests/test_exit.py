@@ -96,10 +96,15 @@ def test_help_to_full_device_exits_2_with_one_line(argv, unbuffered):
         2, b"error: cannot write output: [Errno 28] No space left on device\n")
 
 
-def test_stdout_closed_at_start_exits_0():
-    """With fd 1 closed before start-up, sys.stdout is None and print writes
-    nothing; run's final flush must not fail on it."""
-    proc = _process(DESCRIBE, stdout=None, preexec_fn=lambda: os.close(1))
+@pytest.mark.parametrize("argv", [
+    DESCRIBE,
+    ["census", "--max", "100", "--format", "csv"],
+    ["frontier", "--system", "three_coprime", "--slopes", "2"],
+], ids=["describe", "census-csv", "frontier-csv"])
+def test_stdout_closed_at_start_exits_0(argv):
+    """With fd 1 closed before start-up, sys.stdout is None: print and the
+    CSV writer write nothing, and run's final flush must not fail on it."""
+    proc = _process(argv, stdout=None, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 

@@ -229,18 +229,29 @@ def test_census_matches_bruteforce():
         assert bucket_census(size) == brute_census(size), size
 
 
-def test_census_matches_pinned_reference_at_20000():
-    pinned = json.loads(CENSUS_REFERENCE.read_text())["counts"]["20000"]
-    got = bucket_census(20000)
+@pytest.mark.parametrize("max_prime", [20000, 400000])
+def test_census_matches_pinned_reference(max_prime):
+    # the pinned counts are sympy's
+    pinned = json.loads(CENSUS_REFERENCE.read_text())["counts"][str(max_prime)]
+    got = bucket_census(max_prime)
     assert {f"{bucket} residue {residue}": n for (bucket, residue), n in got.items()} == pinned
 
 
-def test_census_same_at_jobs_1_2_3_across_many_segments(monkeypatch):
-    # short segments put several boundaries in range
-    monkeypatch.setattr(lemmas, "_SEGMENT", 777)
-    want = brute_census(20000)
-    for jobs in (1, 2, 3):
-        assert bucket_census(20000, jobs=jobs) == want, jobs
+def test_census_sieves_its_whole_range_in_one_chunk(monkeypatch):
+    # 264998 odd n, more than _SEGMENT: the census still makes one pass
+    calls = []
+    chunk = lemmas._census_chunk
+
+    def counting(*args):
+        calls.append(args)
+        return chunk(*args)
+
+    monkeypatch.setattr(lemmas, "_census_chunk", counting)
+    got = bucket_census(530000)
+    assert len(calls) == 1 and 264998 > lemmas._SEGMENT
+    assert len(calls[0][0]) == 264999  # the flags of n = 3, 5, ..., 529999
+    # every prime 3 < p <= 530000 is counted once
+    assert sum(got.values()) == sum(odd_prime_flags(530000)) - 1
 
 
 def _ell(x):
@@ -250,8 +261,8 @@ def _ell(x):
 
 def _census_case(n, hi):
     """The case of the proof in _census_chunk's docstring that settles the
-    prime n in a segment whose top is hi, each case's own claims checked
-    as stated."""
+    prime n in a census whose largest odd n is hi, each case's own claims
+    checked as stated."""
     f, t = n * n + n + 1, n % 3 == 1
     factors = Counter(factorize(f))
     omega = sum(factors.values())
@@ -291,12 +302,9 @@ PROOF_CASES = {"d = 0", "q^2 | f, q < Q", "q^2 | f, q >= Q", "f = 3q", "f = q", 
 
 def _census_cases(max_prime):
     """Counter of _census_case over the primes of bucket_census(max_prime),
-    each with the top of its segment."""
-    cases = Counter()
-    for lo, size in lemmas._segments(max_prime):
-        hi = lo + 2 * size - 2
-        cases.update(_census_case(n, hi) for n in range(lo, hi + 1, 2) if is_prime(n))
-    return cases
+    with hi the largest odd n <= max_prime."""
+    hi = max_prime - 1 + max_prime % 2
+    return Counter(_census_case(n, hi) for n in range(5, hi + 1, 2) if is_prime(n))
 
 
 def test_census_matches_bruteforce_at_every_max_below_3000():
@@ -315,16 +323,13 @@ def test_census_matches_bruteforce_at_every_max_below_3000():
 
 
 def test_census_matches_bruteforce_over_short_segments(monkeypatch):
-    # each segment has its own top hi, square cut Q and runs of l(f), and
     # the root table fills its roots 64 candidates q at a time
     monkeypatch.setattr(lemmas, "_SEGMENT", 64)
     flags, qs, ws = lemmas._root_table(6007)
     assert list(qs) == _trial_primes_1_mod_3(6007) and len(ws) == len(qs)
     assert all((w * w + w + 1) % q == 0 for q, w in zip(qs, ws))
     for max_prime in (2000, 4099, 6007):
-        assert len(lemmas._segments(max_prime)) >= 15
         assert bucket_census(max_prime) == brute_census(max_prime), max_prime
-    assert set(_census_cases(6007)) == PROOF_CASES
 
 
 def test_census_state_bytes_stay_apart():
@@ -382,7 +387,7 @@ def test_each_scan_sieves_its_range_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(lemmas, "_SEGMENT", 777)  # about 13 census segments
+    monkeypatch.setattr(lemmas, "_SEGMENT", 777)  # five blocks of the root table
     monkeypatch.setattr(lemmas, "odd_prime_flags",
                         counting("odd_prime_flags", lemmas.odd_prime_flags))
     monkeypatch.setattr(primes, "sieve", counting("sieve", primes.sieve))

@@ -18,7 +18,7 @@ def test_sieve_matches_trial_division():
     assert sieve(10**4) == _trial_primes(10**4)
     assert sieve(1) == []
     assert sieve(2) == [2]
-    # crossing the segment boundary must not lose or duplicate primes
+    # a longer range must not lose or duplicate primes
     big = sieve(70000)
     assert len(big) == len(set(big))
     assert big[:4] == [2, 3, 5, 7]

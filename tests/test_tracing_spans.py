@@ -24,7 +24,7 @@ def test_tracer_records_each_scans_chunk_under_the_scan():
         tracer.uninstall()
     chunks = [(name, tracer.spans[parent][0] if parent >= 0 else None)
               for name, _, _, parent, _, _ in tracer.spans if name.endswith("_chunk")]
-    # the census at 20000 is one segment
+    # the census sieves its range in one chunk
     assert chunks == [("lemmas._census_chunk", "lemmas.bucket_census"),
                       ("lemmas._lemma1_chunk", "lemmas.lemma1_scan"),
                       ("enumeration._scan_chunk", "enumeration.integer_scan")]
