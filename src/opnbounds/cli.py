@@ -133,8 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .certificates import (certificate_to_dict, load_certificate, save_certificate,
-                               verify_certificate)
+    from .certificates import (CertificateFormatError, certificate_to_dict, load_certificate,
+                               save_certificate, verify_certificate)
     from .lp import UnboundedSlopeError, best_constant
     from .model import render_bound
     from .rationals import format_rational
@@ -149,7 +149,7 @@ def cmd_optimize(args) -> int:
             save_certificate(bound.certificate, args.out)
             # prove the on-disk artifact, not just the in-memory object
             report = verify_certificate(system, load_certificate(args.out))
-        except OSError as exc:
+        except (OSError, CertificateFormatError) as exc:
             return _error(exc)
         if not report.passed:
             return _error(f"saved certificate failed verification: "

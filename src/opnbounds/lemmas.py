@@ -19,9 +19,12 @@ root class of a q updates it. Since n^2+n+1 < (hi+1)^2, what none of those
 q divides is 1 or one prime, so a square sieve over the q below
 (hi+1)^(2/3), a bit-length test for two q and a primality look-up for the
 few n with n^2+n+1 <= 3 hi settle every prime n, and bytes.count reads the
-counts off the states; _census_chunk proves the cases. Lemma 1's walk
-returns plain (a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation
-records and loads fractions only when there is one.
+counts off the states; _census_chunk proves the cases. The square sieve
+is part of the one walk over the root table: each q < (hi+1)^(2/3) lifts
+its root modulo q^2 right after its own translate. Lemma 1's walk reads
+the root table in place, with q = 3 chained in front, and returns plain
+(a, b, q, k) tuples; lemma1_scan builds the Lemma1Violation records and
+loads fractions only when there is one.
 
 Every scan runs in the calling process and calls its chunk function
 directly; bucket_census accepts a jobs argument and ignores it. The census
@@ -40,7 +43,7 @@ not an int raises TypeError before either check.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -209,9 +212,13 @@ def _census_chunk(flags, qs, ws) -> list:
     2 log2 x. Each n keeps one state byte: 0 for d = 0, 1 + l(q) for
     d = 1, 48 + l(q1) + l(q2) for d = 2, and 255 for d >= 3 or a composite
     n. l(q) <= 45 up to MAX_CENSUS, so the d = 1 states are 6..46 and the
-    d = 2 states 58..138. Each q <= hi updates its two root classes with
-    one translate by _ADD[l(q)]; a q past the number of n has at most one
-    index in each.
+    d = 2 states 58..138. One walk over qs and ws, in increasing q, does
+    all the sieving. Each q is odd and at most max, so at most hi; it
+    updates its two root classes with one translate by _ADD[l(q)], and a
+    q below the cut Q of the square sieve (see d = 1 and e >= 2 below)
+    then, in the same iteration, updates its two root classes modulo q^2
+    with one translate by _SQUARE. A modulus past the number of n has at
+    most one index in each class.
 
     f < (hi+1)^2, so the part r of f that no prime up to hi divides is 1
     or one prime above hi. With e the exponent of q in f and Omega the
@@ -220,9 +227,18 @@ def _census_chunk(flags, qs, ws) -> list:
     - d = 0: r = f/3^t > 1, so Omega = t + 1.
     - d = 1 and e >= 2: Omega = t + e + [r > 1] >= 2, with equality only
       for f = q^2, which (2q)^2 - (2n+1)^2 = 3 rules out. So Omega >= 3.
-      The square sieve sends these states to 255, walking the roots of
+      The square sieve sends these states to 255, with the roots of
       x^2+x+1 lifted modulo q^2, but only for q < Q, the least Q with
-      Q^3 >= (hi+1)^2. For q >= Q, q^3 > f gives e = 2, and r = 1 because
+      Q^3 >= (hi+1)^2. It runs in q's own iteration, right after q's
+      _ADD translate, and settles the same n as a square sieve run after
+      the whole walk: _SQUARE moves only the d = 1 states, and every _ADD
+      keeps 255 at 255. An n in a root class modulo q^2 is in one modulo
+      q, which q's _ADD has just hit, so a d = 1 state there names q
+      alone. Such an n ends at 255 in both orders, unless a later q2 also
+      divides f; then the later square sieve would meet a d = 2 state,
+      which fails the bit-length test of the d = 2 case as f >= q^2 q2, so
+      the n is in S3plus either way. A d >= 2 state there neither order
+      moves. For q >= Q, q^3 > f gives e = 2, and r = 1 because
       a prime r > hi would make f >= q^2 (hi+1) > (hi+1)^2. As f = q^2 is
       ruled out, f = 3q^2 with t = 1: its state stays, and the next case's
       count puts it in S3plus, as f/3 = q^2 is not prime.
@@ -242,10 +258,8 @@ def _census_chunk(flags, qs, ws) -> list:
     """
     size = len(flags)
     lo, hi = 3, 2 * size + 1
-    state = flags.translate(_START)
+    state, cut = flags.translate(_START), _square_cut(hi)
     for q, w in zip(qs, ws):
-        if q > hi:
-            break
         add = _ADD[(q * q).bit_length() - 1]
         for root in (w, q - 1 - w):
             first = (root - lo) * (q + 1) // 2 % q  # lo + 2j = root (mod q)
@@ -253,18 +267,15 @@ def _census_chunk(flags, qs, ws) -> list:
                 state[first::q] = state[first::q].translate(add)
             elif first < size:  # the class's only index
                 state[first] = add[state[first]]
-    cut = _square_cut(hi)
-    for q, w in zip(qs, ws):
-        if q >= cut:
-            break
-        qq = q * q
-        w = (w - (w * w + w + 1) * pow(2 * w + 1, -1, qq)) % qq  # Hensel's lift
-        for root in (w, qq - 1 - w):
-            first = (root - lo) * (qq + 1) // 2 % qq
-            if qq < size:
-                state[first::qq] = state[first::qq].translate(_SQUARE)
-            elif first < size:
-                state[first] = _SQUARE[state[first]]
+        if q < cut:  # the square sieve of q
+            qq = q * q
+            w = (w - (w * w + w + 1) * pow(2 * w + 1, -1, qq)) % qq  # Hensel's lift
+            for root in (w, qq - 1 - w):
+                first = (root - lo) * (qq + 1) // 2 % qq
+                if qq < size:
+                    state[first::qq] = state[first::qq].translate(_SQUARE)
+                elif first < size:
+                    state[first] = _SQUARE[state[first]]
     cells = [0] * len(CELLS)  # (bucket, residue) at 2 * bucket + residue - 1
     for j in compress(range(1, size), memoryview(flags)[1:]):  # n = 5, 7, ...
         n = lo + 2 * j
@@ -370,9 +381,8 @@ def lemma1_scan(max_prime: int) -> list:
     if max_prime > MAX_LEMMA1:
         raise ValueError(f"max {max_prime} is larger than {MAX_LEMMA1}, "
                          f"the largest lemma 1 max")
-    flags, qs, ws = _root_table(max_prime)
-    qs, ws = array("L", [3]) + qs, array("L", [1]) + ws  # q = 3 has the one root w = 1
-    found = sorted(_lemma1_chunk(max_prime, _LEMMA1_K, flags, qs, ws))
+    flags, qs, ws = _root_table(max_prime)  # q = 3, with the one root w = 1, goes first
+    found = sorted(_lemma1_chunk(max_prime, _LEMMA1_K, flags, chain((3,), qs), chain((1,), ws)))
     if not found:
         return []
     from fractions import Fraction  # only for a violation; no scan has found one

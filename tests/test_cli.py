@@ -151,6 +151,14 @@ def test_optimize_unwritable_out_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_optimize_out_that_reads_back_no_certificate_exits_2(capsys):
+    # /dev/null takes the write and reads back empty, like verify --cert /dev/null
+    code, out, err = run(capsys, "optimize", "--system", "three_coprime",
+                         "--slope", "1", "--out", "/dev/null")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
 def test_optimize_f3_min2_flag(capsys):
     code, out, _ = run(capsys, "optimize", "--system", "three_divides",
                        "--f3-min2", "on", "--slope", "21/8")

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -252,6 +253,26 @@ def test_census_sieves_its_whole_range_in_one_chunk(monkeypatch):
     assert len(calls[0][0]) == 264999  # the flags of n = 3, 5, ..., 529999
     # every prime 3 < p <= 530000 is counted once
     assert sum(got.values()) == sum(odd_prime_flags(530000)) - 1
+
+
+class _CountedWalks:
+    """A sequence whose __iter__ counts the walks over it."""
+
+    def __init__(self, items):
+        self.items, self.walks = items, 0
+
+    def __iter__(self):
+        self.walks += 1
+        return iter(self.items)
+
+
+def test_census_walks_its_root_table_once():
+    # the square sieve of each q < Q runs in q's own iteration of the walk
+    flags, qs, ws = lemmas._root_table(400000)
+    counted = _CountedWalks(qs)
+    cells = lemmas._census_chunk(flags, counted, ws)
+    assert counted.walks == 1
+    assert dict(zip(lemmas.CELLS, cells)) == bucket_census(400000)
 
 
 def _ell(x):
@@ -543,6 +564,34 @@ def test_lemma1_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_lemma1_reads_its_root_table_in_place(monkeypatch):
+    # tracemalloc makes the root table's Python loop at 10^7 take over 30 s
+    # (CPython 3.11.7, 64-bit Linux), so the table is built before tracing
+    # and handed over as a fresh copy, which the peak counts: 9.84 MiB of
+    # flags and two arrays of 332194 q and roots. The peak read 9.84 MiB;
+    # copying both arrays to put q = 3 first made it 14.91 MiB. The chunk
+    # only drains what it gets.
+    table = lemmas._root_table(10**7)
+    walked = []
+
+    def drain(max_prime, k_of, flags, qs, ws):
+        walked.append((sum(1 for _ in qs), sum(1 for _ in ws)))
+        return []
+
+    monkeypatch.setattr(lemmas, "_root_table",
+                        lambda limit: (bytearray(table[0]), array("L", table[1]),
+                                       array("L", table[2])))
+    monkeypatch.setattr(lemmas, "_lemma1_chunk", drain)
+    tracemalloc.start()
+    try:
+        assert lemma1_scan(10**7) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == [(len(table[1]) + 1, len(table[1]) + 1)]
+    assert peak < 12 << 20, peak
 
 
 def test_lemma1_matches_bruteforce():
